@@ -7,7 +7,6 @@ import sys
 from typing import Any
 
 from .pipeline import (
-    EXIT_UNEXPECTED,
     ConfigError,
     PipelineConfig,
     StageError,
@@ -88,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         return exit_code_for(exc)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports everything
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc) if not isinstance(exc, KeyboardInterrupt) else EXIT_UNEXPECTED
+        return exit_code_for(exc)
 
     report = result.report
     k_info = report["k"]

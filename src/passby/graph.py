@@ -225,14 +225,3 @@ def read_graph_csv(csv_path: str | Path, meta_path: str | Path) -> SimilarityGra
         neighbors=int(meta["neighbors"]),
     )
 
-
-def write_laplacian_csv(lap: Laplacian, csv_path: str | Path) -> None:
-    """Dense Laplacian dumped as i,j,value triplets (i <= j) for debugging."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "value"])
-        n = lap.n_vertices
-        for i in range(n):
-            for j in range(i, n):
-                if lap.matrix[i, j] != 0.0:
-                    writer.writerow([i, j, repr(float(lap.matrix[i, j]))])

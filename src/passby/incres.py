@@ -4,6 +4,10 @@ Each round plants a few seeds per cluster on that cluster's current members,
 grows the seed mass by random-walk diffusion until every vertex holds some,
 and harvests new labels by majority mass.  The seed budget ramps up linearly
 with the round number, so early rounds explore and late rounds consolidate.
+
+A round that leaves some connected component without a seed can never reach
+full support by stepping.  It takes the walk's stationary limit instead: each
+component's planted mass spread over the component in proportion to degree.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
+from scipy import sparse
 
 from .graph import SimilarityGraph
 from .spectral import Partition
@@ -44,12 +49,35 @@ class IncresResult:
     seed_mass: SeedMatrix  # final diffused mass, one column per cluster
     grow_steps: tuple[int, ...]  # diffusion steps taken in each round
     cap_exhausted: tuple[bool, ...]  # rounds where the step cap cut diffusion short
+    limit_rounds: tuple[bool, ...]  # rounds that took the stationary limit (no stepping)
 
 
-def transition_matrix(graph: SimilarityGraph) -> npt.NDArray[np.float64]:
+def transition_matrix(graph: SimilarityGraph) -> sparse.csr_array:
     """Column-stochastic random-walk operator: column j spreads j's mass to its neighbors."""
-    deg = graph.degrees()
-    return graph.weights / deg[None, :]
+    P = sparse.csr_array(graph.weights)
+    P.data /= graph.degrees()[P.indices]
+    return P
+
+
+def component_labels(adjacency: sparse.csr_array) -> npt.NDArray[np.int64]:
+    """Connected components of a symmetric sparsity pattern, numbered by smallest vertex.
+
+    Min-label propagation over the rows with pointer jumping: each vertex
+    holds a vertex of its own component no larger than itself, until every
+    vertex holds its component's smallest.
+    """
+    n = adjacency.shape[0]
+    indptr, indices = adjacency.indptr, adjacency.indices
+    rows = np.flatnonzero(np.diff(indptr))  # isolated vertices have no row entries
+    root = np.arange(n)
+    while True:
+        new = root.copy()
+        if rows.size:
+            new[rows] = np.minimum(root[rows], np.minimum.reduceat(root[indices], indptr[rows]))
+        new = new[new]
+        if np.array_equal(new, root):
+            return np.unique(root, return_inverse=True)[1].astype(np.int64)
+        root = new
 
 
 def seeds_for_round(seed_rate: float, round_index: int) -> int:
@@ -98,6 +126,23 @@ def grow(
     return mass, steps, False
 
 
+def stationary_limit(
+    seed_mass: SeedMatrix,
+    component: npt.NDArray[np.int64],
+    degrees: npt.NDArray[np.float64],
+) -> SeedMatrix:
+    """Where repeated diffusion converges on aperiodic components.
+
+    Each component's planted mass, per column, spread over the component in
+    proportion to degree; components without mass stay empty.
+    """
+    n_components = int(component.max()) + 1
+    totals = np.zeros((n_components, seed_mass.shape[1]))
+    np.add.at(totals, component, seed_mass)
+    volume = np.bincount(component, weights=degrees, minlength=n_components)
+    return totals[component] * (degrees / volume[component])[:, None]
+
+
 def harvest(seed_mass: SeedMatrix, previous_labels: npt.ArrayLike) -> npt.NDArray[np.int64]:
     """Label each vertex by the cluster holding the most mass there.
 
@@ -112,29 +157,45 @@ def harvest(seed_mass: SeedMatrix, previous_labels: npt.ArrayLike) -> npt.NDArra
 
 
 def incres_cluster(graph: SimilarityGraph, cfg: IncresConfig) -> IncresResult:
-    """Run the full plant/grow/harvest loop from a uniformly random start."""
+    """Run the full plant/grow/harvest loop from a uniformly random start.
+
+    A round whose seeds miss some component skips `grow` and harvests the
+    stationary limit of the walk; its unseeded components hold no mass, so
+    their vertices keep their previous labels.
+    """
     n = graph.n_vertices
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the {n} vertices available")
     P = transition_matrix(graph)
     cap = cfg.grow_cap if cfg.grow_cap is not None else 10 * n
+    component = component_labels(P)
+    deg = graph.degrees()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed))
     labels = rng.integers(0, cfg.k, size=n).astype(np.int64)
     steps_taken: list[int] = []
     capped: list[bool] = []
+    limits: list[bool] = []
     mass = np.zeros((n, cfg.k))
     for round_index in range(1, cfg.iterations + 1):
         budget = seeds_for_round(cfg.seed_rate, round_index)
         mass = plant(Partition(labels=labels, k=cfg.k), budget, rng)
-        mass, steps, exhausted = grow(mass, P, cap)
+        settled = stationary_limit(mass, component, deg)
+        # the limit holds mass exactly on the components that hold a seed
+        limit = not (settled > 0.0).any(axis=1).all()
+        if limit:
+            mass, steps, exhausted = settled, 0, False
+        else:
+            mass, steps, exhausted = grow(mass, P, cap)
         labels = harvest(mass, labels)
         steps_taken.append(steps)
         capped.append(exhausted)
+        limits.append(limit)
     return IncresResult(
         partition=Partition(labels=labels, k=cfg.k),
         seed_mass=mass,
         grow_steps=tuple(steps_taken),
         cap_exhausted=tuple(capped),
+        limit_rounds=tuple(limits),
     )
 
 

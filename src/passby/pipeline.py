@@ -197,7 +197,7 @@ class _Stages:
             out = fn()
         except StageError:
             raise
-        except BaseException as exc:
+        except Exception as exc:
             raise StageError(name, exc) from exc
         self.timings[name] = time.perf_counter() - start
         return out
@@ -219,7 +219,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute every stage and write all artifacts into cfg.out_dir.
 
     Any stage failure removes the artifacts this run already wrote and
-    re-raises as StageError naming the stage.
+    re-raises as StageError naming the stage.  An interrupt (KeyboardInterrupt,
+    SystemExit) removes them too and propagates unchanged.
     """
     stages = _Stages()
     try:
@@ -319,6 +320,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
                     "grow_steps_total": int(sum(res.grow_steps)),
                     "grow_steps_max": int(max(res.grow_steps)),
                     "cap_exhausted_rounds": int(sum(res.cap_exhausted)),
+                    "limit_rounds": int(sum(res.limit_rounds)),
                 }
             else:  # incres-embedding
                 E, _ = incres_embedding(

@@ -134,7 +134,7 @@ def load_audio(path: str | Path) -> AudioSignal:
 
     Integer PCM is scaled by 1/2^(bits-1); two channels are averaged to one.
     Unreadable files, unsupported encodings, and zero-length audio raise
-    distinct exception types.
+    distinct exception types; non-finite float samples raise AudioIOError.
     """
     try:
         rate, data = wavfile.read(str(path))
@@ -161,7 +161,8 @@ def load_audio(path: str | Path) -> AudioSignal:
         # scale realizes v/2^23 for 24-bit data and v/2^31 for true 32-bit.
         x = x / 2.0**31
     elif data.dtype == np.float32:
-        pass
+        if not np.isfinite(x).all():
+            raise AudioIOError(f"{path}: non-finite (NaN or inf) samples")
     else:
         raise UnsupportedEncodingError(f"{path}: sample format {data.dtype} not supported")
     return AudioSignal(samples=x, sample_rate=int(rate))

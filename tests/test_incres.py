@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse, stats
+from scipy.sparse.csgraph import connected_components
 
 from passby.evaluate import rand_index
 from passby.graph import SimilarityGraph, knn_graph
 from passby.incres import (
     IncresConfig,
+    component_labels,
     embedding_column,
     grow,
     harvest,
@@ -17,8 +21,10 @@ from passby.incres import (
     incres_embedding,
     plant,
     seeds_for_round,
+    stationary_limit,
     transition_matrix,
 )
+from passby.pipeline import PipelineConfig, run_pipeline
 from passby.signal import WindowingConfig, stft_features
 from passby.spectral import Partition
 from passby.synth import BlockSpec, default_vehicle_bank, gen_block_similarity, gen_vehicle_audio
@@ -74,7 +80,30 @@ def test_transition_path_values():
     P = transition_matrix(_path_graph(3))
     # middle vertex splits its unit mass in half; ends forward everything
     expected = np.array([[0.0, 0.5, 0.0], [1.0, 0.0, 1.0], [0.0, 0.5, 0.0]])
-    assert np.array_equal(P, expected)
+    assert np.array_equal(P.toarray(), expected)
+
+
+def test_transition_matches_dense_division_bitwise():
+    g = knn_graph(np.random.default_rng(4).normal(size=(30, 5)) + 2.0, neighbors=4)
+    dense = g.weights / g.degrees()[None, :]
+    assert np.array_equal(transition_matrix(g).toarray(), dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_component_labels_match_csgraph(data):
+    n = data.draw(st.integers(1, 30))
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    adjacency = np.zeros((n, n))
+    for i, j in edges:
+        if i != j:
+            adjacency[i, j] = adjacency[j, i] = 1.0
+    csr = sparse.csr_array(adjacency)
+    count, expected = connected_components(csr, directed=False)
+    labels = component_labels(csr)
+    assert labels.max() + 1 == count
+    assert np.array_equal(labels, expected)
 
 
 def test_seeds_for_round_schedule():
@@ -181,6 +210,41 @@ def test_grow_cap_cuts_disconnected_diffusion():
     assert np.all(out[3:, 0] == 0.0)
 
 
+def _weighted_components(sizes=(6, 9, 12)):
+    """Disjoint complete graphs with random weights, so degrees differ."""
+    rng = np.random.default_rng(8)
+    n = sum(sizes)
+    w = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        block = np.triu(rng.uniform(0.1, 1.0, size=(size, size)), k=1)
+        w[start : start + size, start : start + size] = block + block.T
+        start += size
+    return SimilarityGraph(weights=w, scales=np.ones(n), neighbors=1)
+
+
+def test_stationary_limit_matches_long_dense_diffusion():
+    # seeds miss the last component: the old loop runs the dense walk to its
+    # cap, and the closed form is where that walk converges
+    g = _weighted_components()
+    mass = np.zeros((g.n_vertices, 2))
+    mass[0, 0] = 2.0
+    mass[3, 1] = 1.0
+    mass[7, 1] = 3.0
+    mass[10, 0] = 1.0
+    dense = g.weights / g.degrees()[None, :]
+    walked, steps, exhausted = grow(mass, dense, cap=2000)
+    assert exhausted and steps == 2000
+    component = component_labels(transition_matrix(g))
+    assert component.tolist() == [0] * 6 + [1] * 9 + [2] * 12
+    limit = stationary_limit(mass, component, g.degrees())
+    assert np.abs(limit - walked).max() < 1e-12
+    assert np.all(limit[15:] == 0.0)
+    assert np.allclose(limit.sum(axis=0), mass.sum(axis=0), rtol=1e-12)
+    prev = np.arange(g.n_vertices) % 2
+    assert np.array_equal(harvest(limit, prev), harvest(walked, prev))
+
+
 def test_harvest_argmax_tie_and_fallback():
     mass = np.array([[0.2, 0.7], [0.5, 0.5], [0.0, 0.0]])
     prev = np.array([0, 1, 1])
@@ -240,8 +304,29 @@ def test_incres_result_bookkeeping():
     res = incres_cluster(graph, cfg)
     assert len(res.grow_steps) == 40
     assert len(res.cap_exhausted) == 40
+    assert len(res.limit_rounds) == 40
     assert res.seed_mass.shape == (graph.n_vertices, 3)
-    assert not any(res.cap_exhausted)  # the block graph is connected
+    # the block graph is connected
+    assert not any(res.cap_exhausted) and not any(res.limit_rounds)
+
+
+def test_incres_unseeded_components_take_the_limit_not_the_cap():
+    # one component per vehicle, so some rounds leave one without a seed
+    graph = _vehicle_graph()
+    res = incres_cluster(graph, IncresConfig(k=3, rng_seed=1))
+    assert max(res.grow_steps) < graph.n_vertices
+    assert sum(res.limit_rounds) > 0
+    assert not any(res.cap_exhausted)
+    for steps, limit in zip(res.grow_steps, res.limit_rounds):
+        assert not limit or steps == 0
+
+
+@pytest.mark.parametrize("seed", [1, 4, 8, 17])
+def test_incres_pure_where_reachable_support_rule_was_not(tmp_path, seed):
+    # stopping at full support over the seeded components alone loses
+    # purity on these seeds; the stationary limit must not
+    run = run_pipeline(PipelineConfig(out_dir=str(tmp_path), method="incres", seed=seed))
+    assert run.report["methods"]["incres"]["purity"] == 1.0
 
 
 def test_incres_k_larger_than_graph():
@@ -316,6 +401,7 @@ def test_embedding_column_levels_ordered_by_size():
         seed_mass=mass,
         grow_steps=(0,),
         cap_exhausted=(False,),
+        limit_rounds=(False,),
     )
     col = embedding_column(res)
     # margins are all 1, so levels surface directly: sizes 3,2,1 -> +1, 0, -1

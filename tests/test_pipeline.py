@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from passby.cli import main
 from passby.evaluate import align_labels, confusion, purity
@@ -277,6 +278,18 @@ def test_failed_run_discards_partial_artifacts(tmp_path):
     assert not (out / "labels.csv").exists()
 
 
+def test_interrupt_discards_artifacts_and_propagates(tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("passby.pipeline.knn_graph", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(PipelineConfig(out_dir=str(out)))
+    assert not (out / "synthetic.wav").exists()
+    assert not (out / "manifest.csv").exists()
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -317,6 +330,19 @@ def test_cli_io_failure_returns_io_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_IO
     assert "stage 'ingest' failed" in captured.err
+
+
+def test_cli_non_finite_audio_returns_io_code(tmp_path, capsys):
+    rate = 48000
+    samples = np.sin(np.linspace(0.0, 400.0, 2 * rate)).astype(np.float32)
+    samples[rate] = np.nan
+    wavfile.write(tmp_path / "nan.wav", rate, samples)
+    manifest = tmp_path / "m.csv"
+    write_manifest([ManifestEntry("nan.wav", "x", 0.0, 2.0)], manifest)
+    code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == EXIT_IO
+    assert "stage 'ingest' failed" in captured.err and "non-finite" in captured.err
 
 
 def test_cli_config_file_flow(tmp_path, capsys):

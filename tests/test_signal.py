@@ -91,6 +91,14 @@ def test_load_float32_passthrough(tmp_path):
     assert np.array_equal(sig.samples, x.astype(np.float64))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_non_finite_float32_is_read_error(tmp_path, bad):
+    path = tmp_path / "a.wav"
+    wavfile.write(path, 8000, np.array([0.5, bad, -0.25], dtype=np.float32))
+    with pytest.raises(AudioIOError, match="non-finite"):
+        load_audio(path)
+
+
 def test_load_stereo_averages_to_mono(tmp_path):
     path = tmp_path / "a.wav"
     wavfile.write(path, 8000, np.array([[32767, 0], [0, 0], [-32768, -32768]], dtype=np.int16))
