@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import numpy.typing as npt
+from scipy import sparse
 
 SCALE_FLOOR = 1e-12
 
@@ -23,17 +24,6 @@ class IsolatedVertexError(ValueError):
 
 class ScaleError(ValueError):
     """No positive local scale exists for some vertex."""
-
-
-def cosine_distance(x: npt.ArrayLike, y: npt.ArrayLike) -> float:
-    """1 - cos(angle between x and y); raises ZeroNormError on a zero vector."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    nx = np.linalg.norm(xv)
-    ny = np.linalg.norm(yv)
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroNormError("cosine distance undefined for a zero vector")
-    return float(1.0 - (xv @ yv) / (nx * ny))
 
 
 def pairwise_cosine_distances(features: npt.ArrayLike) -> npt.NDArray[np.float64]:
@@ -126,12 +116,14 @@ def knn_graph_from_distances(
         raise ValueError(f"neighbors must lie in [1, {n - 1}], got {neighbors}")
     offdiag = d.copy()
     np.fill_diagonal(offdiag, np.inf)
-    # stable sort: equal distances order by column index, so ties at the
-    # neighbor boundary resolve toward the smaller index
-    order = np.argsort(offdiag, axis=1, kind="stable")
-    nearest = order[:, :neighbors]
-    rows = np.arange(n)
-    scales = offdiag[rows, nearest[:, neighbors - 1]]
+    # copied out, so the partitioned n x n array is not kept alive by the graph
+    scales = np.partition(offdiag, neighbors - 1, axis=1)[:, neighbors - 1].copy()
+    # the nearest set: every distance below the neighbors-th, then as many of
+    # the distances equal to it as fit, smaller column index first
+    mask = offdiag < scales[:, None]
+    ties = offdiag == scales[:, None]
+    room = neighbors - mask.sum(axis=1)
+    mask |= ties & (np.cumsum(ties, axis=1) <= room[:, None])
     low = np.flatnonzero(scales < SCALE_FLOOR)
     for i in low:
         # distances below the floor are rounding noise from coincident
@@ -142,8 +134,6 @@ def knn_graph_from_distances(
                 f"vertex {i}: every other point coincides with it; no positive scale exists"
             )
         scales[i] = positive.min()
-    mask = np.zeros((n, n), dtype=bool)
-    mask[rows[:, None], nearest] = True
     mask |= mask.T
     weights = np.where(mask, np.exp(-(d**2) / np.outer(scales, scales)), 0.0)
     np.fill_diagonal(weights, 0.0)
@@ -186,6 +176,27 @@ def laplacian(graph: SimilarityGraph) -> Laplacian:
     return Laplacian(matrix=L, degrees=deg)
 
 
+def component_labels(adjacency: sparse.csr_array) -> npt.NDArray[np.int64]:
+    """Connected components of a symmetric sparsity pattern, numbered by smallest vertex.
+
+    Min-label propagation over the rows with pointer jumping: each vertex
+    holds a vertex of its own component no larger than itself, until every
+    vertex holds its component's smallest.
+    """
+    n = adjacency.shape[0]
+    indptr, indices = adjacency.indptr, adjacency.indices
+    rows = np.flatnonzero(np.diff(indptr))  # isolated vertices have no row entries
+    root = np.arange(n)
+    while True:
+        new = root.copy()
+        if rows.size:
+            new[rows] = np.minimum(root[rows], np.minimum.reduceat(root[indices], indptr[rows]))
+        new = new[new]
+        if np.array_equal(new, root):
+            return np.unique(root, return_inverse=True)[1].astype(np.int64)
+        root = new
+
+
 def write_graph_csv(
     graph: SimilarityGraph, csv_path: str | Path, meta_path: str | Path
 ) -> None:
@@ -203,25 +214,3 @@ def write_graph_csv(
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def read_graph_csv(csv_path: str | Path, meta_path: str | Path) -> SimilarityGraph:
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    n = int(meta["n"])
-    W = np.zeros((n, n))
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["i", "j", "weight"]:
-            raise ValueError(f"{csv_path}: expected header i,j,weight")
-        for i_s, j_s, w_s in reader:
-            i, j, w = int(i_s), int(j_s), float(w_s)
-            W[i, j] = w
-            W[j, i] = w
-    return SimilarityGraph(
-        weights=W,
-        scales=np.asarray(meta["scales"], dtype=np.float64),
-        neighbors=int(meta["neighbors"]),
-    )
-

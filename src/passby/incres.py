@@ -18,7 +18,7 @@ import numpy as np
 import numpy.typing as npt
 from scipy import sparse
 
-from .graph import SimilarityGraph
+from .graph import SimilarityGraph, component_labels
 from .spectral import Partition
 
 SeedMatrix = npt.NDArray[np.float64]  # (n, k); column c = mass planted for cluster c
@@ -59,27 +59,6 @@ def transition_matrix(graph: SimilarityGraph) -> sparse.csr_array:
     P = sparse.csr_array(graph.weights)
     P.data /= graph.degrees()[P.indices]
     return P
-
-
-def component_labels(adjacency: sparse.csr_array) -> npt.NDArray[np.int64]:
-    """Connected components of a symmetric sparsity pattern, numbered by smallest vertex.
-
-    Min-label propagation over the rows with pointer jumping: each vertex
-    holds a vertex of its own component no larger than itself, until every
-    vertex holds its component's smallest.
-    """
-    n = adjacency.shape[0]
-    indptr, indices = adjacency.indptr, adjacency.indices
-    rows = np.flatnonzero(np.diff(indptr))  # isolated vertices have no row entries
-    root = np.arange(n)
-    while True:
-        new = root.copy()
-        if rows.size:
-            new[rows] = np.minimum(root[rows], np.minimum.reduceat(root[indices], indptr[rows]))
-        new = new[new]
-        if np.array_equal(new, root):
-            return np.unique(root, return_inverse=True)[1].astype(np.int64)
-        root = new
 
 
 def seeds_for_round(seed_rate: float, round_index: int) -> int:

@@ -419,7 +419,14 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
         wave_path.parent.mkdir(parents=True, exist_ok=True)
         wave_path.write_text(plots.waveform_svg(composite.samples, composite.sample_rate))
         written.append(wave_path)
-        for p in plots.emit_plots(out):
+        for p in plots.emit_plots(
+            out,
+            embedding.eigenvalues,
+            embedding.eigenvectors,
+            method_labels[primary],
+            truth_names,
+            graph.weights,
+        ):
             stages.track(p)
             written.append(p)
         return written, primary

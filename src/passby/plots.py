@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from pathlib import Path
 
 import numpy as np
@@ -80,28 +78,34 @@ def embedding_svg(matrix: np.ndarray) -> str:
 
 
 def heatmap_svg(weights: np.ndarray) -> str:
-    """Grayscale matrix picture: value 1 paints white, value 0 paints black."""
+    """Grayscale matrix picture: value 1 paints white, value 0 paints black.
+
+    Each run of equal grey within a row is painted as one rect.
+    """
     W = np.asarray(weights, dtype=np.float64)
     n = W.shape[0]
     side = WIDTH - 2 * MARGIN
     cell = side / n
     grey = np.clip(np.rint(W * 255.0), 0, 255).astype(int)
-    body = ""
-    for i in range(n):
-        j = 0
-        while j < n:
-            g = grey[i, j]
-            j2 = j
-            while j2 + 1 < n and grey[i, j2 + 1] == g:
-                j2 += 1
-            x = MARGIN + j * cell
-            y = MARGIN + i * cell
-            w = (j2 - j + 1) * cell
-            body += (
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{w + 0.35:.2f}" height="{cell + 0.35:.2f}" '
-                f'fill="rgb({g},{g},{g})"/>\n'
+    starts = np.ones((n, n), dtype=bool)
+    starts[:, 1:] = grey[:, 1:] != grey[:, :-1]
+    rows, cols = np.nonzero(starts)
+    flat = rows * n + cols
+    # every row opens with a run, so a run ends where the next one starts
+    lengths = np.diff(flat, append=n * n)
+    offsets = [f"{MARGIN + j * cell:.2f}" for j in range(n)]
+    widths = [f"{run * cell + 0.35:.2f}" for run in range(n + 1)]
+    height = f"{cell + 0.35:.2f}"
+    fills = [f"rgb({g},{g},{g})" for g in range(256)]
+    body = "".join(
+        [
+            f'<rect x="{offsets[j]}" y="{offsets[i]}" width="{widths[run]}" height="{height}" '
+            f'fill="{fills[g]}"/>\n'
+            for i, j, run, g in zip(
+                rows.tolist(), cols.tolist(), lengths.tolist(), grey[rows, cols].tolist()
             )
-            j = j2 + 1
+        ]
+    )
     return _svg(body, width=WIDTH, height=side + 2 * MARGIN)
 
 
@@ -151,61 +155,28 @@ def waveform_svg(samples: np.ndarray, sample_rate: int, columns: int = 600) -> s
     return _svg(body)
 
 
-def emit_plots(out_dir: str | Path) -> list[Path]:
-    """Render SVGs from the CSV artifacts already written under out_dir.
+def emit_plots(
+    out_dir: str | Path,
+    eigenvalues: np.ndarray,
+    embedding: np.ndarray,
+    clusters: np.ndarray,
+    truth: list[str],
+    weights: np.ndarray,
+) -> list[Path]:
+    """Render the spectrum, embedding, cluster timeline and similarity SVGs.
 
-    Needs spectrum.csv, embedding.csv, labels.csv, and graph.csv/graph.json;
-    a missing artifact raises FileNotFoundError.
+    Writes them under out_dir/plots and returns their paths.
     """
-    out = Path(out_dir)
-    plots_dir = out / "plots"
+    plots_dir = Path(out_dir) / "plots"
     plots_dir.mkdir(parents=True, exist_ok=True)
     written = []
-
-    spectrum_path = out / "spectrum.csv"
-    if not spectrum_path.exists():
-        raise FileNotFoundError(f"missing artifact: {spectrum_path}")
-    with open(spectrum_path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    vals = np.array([float(r[1]) for r in rows])
-    target = plots_dir / "spectrum.svg"
-    target.write_text(spectrum_svg(vals))
-    written.append(target)
-
-    embedding_path = out / "embedding.csv"
-    if not embedding_path.exists():
-        raise FileNotFoundError(f"missing artifact: {embedding_path}")
-    with open(embedding_path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    M = np.array([[float(v) for v in r[1:]] for r in rows])
-    target = plots_dir / "embedding.svg"
-    target.write_text(embedding_svg(M))
-    written.append(target)
-
-    labels_path = out / "labels.csv"
-    if not labels_path.exists():
-        raise FileNotFoundError(f"missing artifact: {labels_path}")
-    with open(labels_path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    clusters = np.array([int(r[2]) for r in rows])
-    truth = [r[3] for r in rows]
-    target = plots_dir / "clusters.svg"
-    target.write_text(timeline_svg(clusters, truth))
-    written.append(target)
-
-    graph_csv = out / "graph.csv"
-    graph_meta = out / "graph.json"
-    if not graph_csv.exists() or not graph_meta.exists():
-        raise FileNotFoundError(f"missing artifact: {graph_csv} / {graph_meta}")
-    with open(graph_meta) as fh:
-        n = int(json.load(fh)["n"])
-    W = np.zeros((n, n))
-    with open(graph_csv, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    for i_s, j_s, w_s in rows:
-        W[int(i_s), int(j_s)] = float(w_s)
-        W[int(j_s), int(i_s)] = float(w_s)
-    target = plots_dir / "similarity.svg"
-    target.write_text(heatmap_svg(W))
-    written.append(target)
+    for name, svg in (
+        ("spectrum.svg", spectrum_svg(eigenvalues)),
+        ("embedding.svg", embedding_svg(embedding)),
+        ("clusters.svg", timeline_svg(clusters, truth)),
+        ("similarity.svg", heatmap_svg(weights)),
+    ):
+        target = plots_dir / name
+        target.write_text(svg)
+        written.append(target)
     return written

@@ -296,37 +296,3 @@ def stft_features(
         window_len=cfg.window_len,
         sample_rate=signal.sample_rate,
     )
-
-
-def write_features_csv(features: FeatureMatrix, csv_path: str | Path, meta_path: str | Path) -> None:
-    """One CSV row per window plus a JSON sidecar with the geometry."""
-    import json
-
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in features.values:
-            writer.writerow([repr(float(v)) for v in row])
-    meta = {
-        "n_windows": features.n_windows,
-        "n_coefficients": features.n_coefficients,
-        "window_len": features.window_len,
-        "sample_rate": features.sample_rate,
-        "start_times": [float(t) for t in features.start_times],
-    }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def read_features_csv(csv_path: str | Path, meta_path: str | Path) -> FeatureMatrix:
-    import json
-
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    return FeatureMatrix(
-        values=values,
-        start_times=np.asarray(meta["start_times"], dtype=np.float64),
-        window_len=int(meta["window_len"]),
-        sample_rate=int(meta["sample_rate"]),
-    )

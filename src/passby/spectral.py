@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
+from scipy import sparse
 
-from .graph import Laplacian
+from .graph import Laplacian, component_labels
 
 RESIDUAL_TOL = 1e-8
 
@@ -40,23 +41,46 @@ class SpectralEmbedding:
 def eigendecompose(lap: Laplacian, p: int) -> SpectralEmbedding:
     """The p smallest eigenpairs, orthonormal, with a deterministic sign convention.
 
-    Each eigenvector is flipped so its largest-magnitude entry is positive
-    (first such entry on ties).  Residuals ||L v - t v|| above 1e-8 fail.
+    L is block-diagonal over the connected components of its sparsity
+    pattern, so each component is solved on its own and its vectors are
+    zero outside it.  Each component's zero eigenspace is pinned to the
+    exact pair (0, D^{1/2} 1 / ||D^{1/2} 1||) on that component, so a graph
+    with c components yields a reproducible basis of the c-fold nullspace.
+    Pairs merge by (eigenvalue, smallest vertex of the component, position
+    within it).  Each eigenvector is flipped so its largest-magnitude entry
+    is positive (first such entry on ties).  Residuals ||L v - t v|| above
+    1e-8 fail.
     """
     L = lap.matrix
     n = lap.n_vertices
     if not 1 <= p <= n:
         raise ValueError(f"p must lie in [1, {n}], got {p}")
-    try:
-        vals, vecs = np.linalg.eigh(L)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense symmetric solver failed: {exc}") from exc
-    vals = vals[:p].copy()
-    vecs = vecs[:, :p].copy()
-    for j in range(p):
-        lead = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[lead, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
+    component = component_labels(sparse.csr_array(L != 0.0))
+    sizes = np.bincount(component)
+    # vertices of each component, ascending; components ordered by smallest vertex
+    members = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes)[:-1])
+    values, vectors = [], []
+    for idx in members:
+        try:
+            vals, vecs = np.linalg.eigh(L[np.ix_(idx, idx)])
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"dense symmetric solver failed: {exc}") from exc
+        null = np.sqrt(lap.degrees[idx])
+        vals[0] = 0.0
+        vecs[:, 0] = null / np.linalg.norm(null)
+        values.append(vals)
+        vectors.append(vecs)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    position = np.concatenate([np.arange(size) for size in sizes])
+    merged = np.concatenate(values)
+    # stable: equal eigenvalues keep (component, position in block) order
+    keep = np.argsort(merged, kind="stable")[:p]
+    vals = merged[keep]
+    vecs = np.zeros((n, p))
+    for j, i in enumerate(keep):
+        col = vectors[owner[i]][:, position[i]]
+        lead = int(np.argmax(np.abs(col)))
+        vecs[members[owner[i]], j] = -col if col[lead] < 0.0 else col
     residuals = np.linalg.norm(L @ vecs - vecs * vals, axis=0)
     bad = np.flatnonzero(residuals >= RESIDUAL_TOL)
     if bad.size:

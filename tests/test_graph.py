@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passby.graph import (
     SCALE_FLOOR,
@@ -14,12 +18,10 @@ from passby.graph import (
     ScaleError,
     SimilarityGraph,
     ZeroNormError,
-    cosine_distance,
     knn_graph,
     knn_graph_from_distances,
     laplacian,
     pairwise_cosine_distances,
-    read_graph_csv,
     write_graph_csv,
 )
 
@@ -29,6 +31,17 @@ def _random_features(rng, n, d):
 
 
 # ----------------------------------------------------------- cosine distance
+
+
+def cosine_distance(x, y):
+    """1 - cos(angle between x and y), one pair at a time (test oracle only)."""
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    nx = np.linalg.norm(xv)
+    ny = np.linalg.norm(yv)
+    if nx == 0.0 or ny == 0.0:
+        raise ZeroNormError("cosine distance undefined for a zero vector")
+    return float(1.0 - (xv @ yv) / (nx * ny))
 
 
 def test_cosine_distance_hand_values():
@@ -162,6 +175,46 @@ def test_knn_duplicate_rows_use_positive_scale_floor():
     assert g.scales[0] == pytest.approx(positives.min())
 
 
+def _knn_by_stable_argsort(d, neighbors):
+    """(weights, scales) with the nearest set taken from a full stable sort (reference)."""
+    n = d.shape[0]
+    offdiag = d.copy()
+    np.fill_diagonal(offdiag, np.inf)
+    nearest = np.argsort(offdiag, axis=1, kind="stable")[:, :neighbors]
+    rows = np.arange(n)
+    scales = offdiag[rows, nearest[:, neighbors - 1]]
+    for i in np.flatnonzero(scales < SCALE_FLOOR):
+        positive = offdiag[i][(offdiag[i] >= SCALE_FLOOR) & np.isfinite(offdiag[i])]
+        if positive.size == 0:
+            return None
+        scales[i] = positive.min()
+    mask = np.zeros((n, n), dtype=bool)
+    mask[rows[:, None], nearest] = True
+    mask |= mask.T
+    weights = np.where(mask, np.exp(-(d**2) / np.outer(scales, scales)), 0.0)
+    np.fill_diagonal(weights, 0.0)
+    return weights, scales
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_knn_selection_matches_stable_argsort(data):
+    # small integer distances make ties at the neighbor boundary common
+    n = data.draw(st.integers(2, 12))
+    neighbors = data.draw(st.integers(1, n - 1))
+    upper = data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+    d = np.triu(np.array(upper, dtype=np.float64).reshape(n, n), k=1)
+    d = d + d.T
+    expected = _knn_by_stable_argsort(d, neighbors)
+    if expected is None:
+        with pytest.raises(ScaleError):
+            knn_graph_from_distances(d, neighbors)
+        return
+    g = knn_graph_from_distances(d, neighbors)
+    assert np.array_equal(g.weights, expected[0])
+    assert np.array_equal(g.scales, expected[1])
+
+
 def test_knn_all_duplicate_rows_rejected():
     X = np.tile(np.array([1.0, 2.0]), (5, 1))
     with pytest.raises(ScaleError):
@@ -182,10 +235,18 @@ def test_graph_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     g = knn_graph(_random_features(rng, 15, 4), neighbors=3)
     write_graph_csv(g, tmp_path / "g.csv", tmp_path / "g.json")
-    back = read_graph_csv(tmp_path / "g.csv", tmp_path / "g.json")
-    assert np.array_equal(back.weights, g.weights)
-    assert np.array_equal(back.scales, g.scales)
-    assert back.neighbors == g.neighbors
+    meta = json.loads((tmp_path / "g.json").read_text())
+    with open(tmp_path / "g.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["i", "j", "weight"]
+    W = np.zeros((meta["n"], meta["n"]))
+    for i_s, j_s, w_s in rows[1:]:
+        i, j = int(i_s), int(j_s)
+        assert i < j
+        W[i, j] = W[j, i] = float(w_s)
+    assert np.array_equal(W, g.weights)
+    assert np.array_equal(np.array(meta["scales"]), g.scales)
+    assert meta["neighbors"] == g.neighbors
 
 
 # ---------------------------------------------------------------- laplacian

@@ -10,10 +10,9 @@ from scipy import sparse, stats
 from scipy.sparse.csgraph import connected_components
 
 from passby.evaluate import rand_index
-from passby.graph import SimilarityGraph, knn_graph
+from passby.graph import SimilarityGraph, component_labels, knn_graph
 from passby.incres import (
     IncresConfig,
-    component_labels,
     embedding_column,
     grow,
     harvest,

@@ -374,6 +374,45 @@ def test_heatmap_merges_constant_runs():
     assert heatmap_svg(checker).count("<rect") == 1 + 64  # nothing merges
 
 
+def _heatmap_by_loop(weights):
+    """Row-run heatmap painted one cell comparison at a time (reference)."""
+    from passby.plots import MARGIN, WIDTH, _svg
+
+    W = np.asarray(weights, dtype=np.float64)
+    n = W.shape[0]
+    side = WIDTH - 2 * MARGIN
+    cell = side / n
+    grey = np.clip(np.rint(W * 255.0), 0, 255).astype(int)
+    body = ""
+    for i in range(n):
+        j = 0
+        while j < n:
+            g = grey[i, j]
+            j2 = j
+            while j2 + 1 < n and grey[i, j2 + 1] == g:
+                j2 += 1
+            x = MARGIN + j * cell
+            y = MARGIN + i * cell
+            w = (j2 - j + 1) * cell
+            body += (
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{w + 0.35:.2f}" height="{cell + 0.35:.2f}" '
+                f'fill="rgb({g},{g},{g})"/>\n'
+            )
+            j = j2 + 1
+    return _svg(body, width=WIDTH, height=side + 2 * MARGIN)
+
+
+def test_heatmap_matches_loop_reference():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 7, 40):
+        # few grey levels, so runs of every length occur
+        W = rng.integers(0, 4, size=(n, n)) / 3.0
+        W[n // 2] = W[n // 2, 0]  # a constant row
+        W[-1] = 1.0
+        assert heatmap_svg(W) == _heatmap_by_loop(W)
+        assert heatmap_svg(np.full((n, n), 0.5)) == _heatmap_by_loop(np.full((n, n), 0.5))
+
+
 def test_timeline_uses_distinct_band_colors():
     svg = timeline_svg(np.array([0, 0, 1, 1]), ["a", "a", "b", "b"])
     assert svg.count("<rect") == 1 + 8  # background plus two bands of four

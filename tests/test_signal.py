@@ -19,10 +19,8 @@ from passby.signal import (
     WindowingConfig,
     assemble_composite,
     load_audio,
-    read_features_csv,
     read_manifest,
     stft_features,
-    write_features_csv,
     write_manifest,
     write_wav,
 )
@@ -374,14 +372,3 @@ def test_feature_matrix_rejects_negative_values():
             window_len=4,
             sample_rate=10,
         )
-
-
-def test_features_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(17)
-    sig = AudioSignal(rng.normal(size=500), 100)
-    fm = stft_features(sig, WindowingConfig(window_len=100), m=30)
-    write_features_csv(fm, tmp_path / "f.csv", tmp_path / "f.json")
-    back = read_features_csv(tmp_path / "f.csv", tmp_path / "f.json")
-    assert np.array_equal(back.values, fm.values)
-    assert np.array_equal(back.start_times, fm.start_times)
-    assert back.window_len == fm.window_len and back.sample_rate == fm.sample_rate

@@ -141,6 +141,57 @@ def test_eigendecompose_disconnected_zero_multiplicity():
     assert emb.eigenvalues[2] > 0.1
 
 
+def _disconnected_graph(rng, sizes):
+    """Random connected blocks (spanning tree plus extra edges), vertices shuffled."""
+    n = sum(sizes)
+    w = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        for i in range(1, size):
+            j = int(rng.integers(i))
+            w[start + i, start + j] = rng.uniform(0.1, 1.0)
+        extra = np.triu(rng.random((size, size)) < 0.3, k=1)
+        block = w[start : start + size, start : start + size]
+        block[extra.T] = rng.uniform(0.1, 1.0, size=int(extra.sum()))
+        start += size
+    w = np.tril(w, k=-1)
+    w = w + w.T
+    perm = rng.permutation(n)
+    return SimilarityGraph(weights=w[np.ix_(perm, perm)], scales=np.ones(n), neighbors=1)
+
+
+def test_eigendecompose_per_component_matches_dense_oracle():
+    rng = np.random.default_rng(10)
+    for trial in range(30):
+        c = int(rng.integers(1, 5))
+        g = _disconnected_graph(rng, [int(s) for s in rng.integers(2, 12, size=c)])
+        lap = laplacian(g)
+        n = g.n_vertices
+        p = int(rng.integers(c, n + 1))
+        emb = eigendecompose(lap, p=p)
+        assert np.allclose(emb.eigenvalues, np.linalg.eigvalsh(lap.matrix)[:p], rtol=0.0, atol=1e-12)
+        gram = emb.eigenvectors.T @ emb.eigenvectors
+        assert np.allclose(gram, np.eye(p), rtol=0.0, atol=1e-12)
+        resid = lap.matrix @ emb.eigenvectors - emb.eigenvectors * emb.eigenvalues
+        assert np.max(np.linalg.norm(resid, axis=0)) < 1e-8
+        # the nullspace basis is pinned: one normalized sqrt(degree) vector per
+        # component, zero elsewhere, in order of each component's smallest vertex
+        assert np.all(emb.eigenvalues[:c] == 0.0)
+        reach = (g.weights > 0.0).astype(float) + np.eye(n)
+        reach = np.linalg.matrix_power(reach, n) > 0.0
+        firsts = sorted({int(np.flatnonzero(row)[0]) for row in reach})
+        assert len(firsts) == c
+        for j, first in enumerate(firsts):
+            idx = np.flatnonzero(reach[first])
+            expected = np.zeros(n)
+            expected[idx] = np.sqrt(lap.degrees[idx]) / np.linalg.norm(np.sqrt(lap.degrees[idx]))
+            assert np.array_equal(emb.eigenvectors[:, j], expected)
+        # every other column also lives on a single component
+        for j in range(c, p):
+            support = np.flatnonzero(emb.eigenvectors[:, j])
+            assert np.all(reach[support[0], support])
+
+
 def test_eigendecompose_p_out_of_range():
     lap = laplacian(_two_block_graph(sizes=(3,)))
     with pytest.raises(ValueError):
@@ -312,6 +363,25 @@ def test_spectral_cluster_three_components_exact():
         frozenset(range(5, 11)),
         frozenset(range(11, 18)),
     }
+
+
+def test_spectral_cluster_recovers_three_components():
+    # three blobs along different axes: cosine kNN keeps every edge inside a
+    # blob.  With an arbitrary basis of the nullspace, columns 1..k-1 can lose
+    # a direction that separates two blobs (seeds 6, 10 and 19 did).
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(10, 30, size=3)
+        X = np.concatenate(
+            [np.eye(8)[c] + 0.05 * rng.random((size, 8)) for c, size in enumerate(sizes)]
+        )
+        perm = rng.permutation(X.shape[0])
+        g = knn_graph(X[perm], neighbors=5)
+        blob = np.repeat(np.arange(3), sizes)[perm]
+        res = spectral_cluster(_embed(g, p=8), k=3, cfg=KmeansConfig(seed=seed))
+        assert res.partition.as_sets() == {
+            frozenset(np.flatnonzero(blob == c).tolist()) for c in range(3)
+        }
 
 
 def test_spectral_cluster_single_column_variant():
