@@ -122,16 +122,20 @@ def rand_index(labels_a: npt.ArrayLike, labels_b: npt.ArrayLike) -> float:
 
 
 def labels_from_spans(spans: list[LabelSpan], times: npt.ArrayLike) -> list[str]:
-    """Label each time by the half-open span [start, end) covering it."""
-    out = []
-    for t in np.asarray(times, dtype=np.float64):
-        for span in spans:
-            if span.start_s <= t < span.end_s:
-                out.append(span.label)
-                break
-        else:
-            raise ValueError(f"time {t} falls outside every label span")
-    return out
+    """Label each time by the half-open span [start, end) covering it.
+
+    The spans must not overlap; they may come in any order and leave gaps.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    order = np.argsort([s.start_s for s in spans], kind="stable")
+    starts = np.array([spans[i].start_s for i in order], dtype=np.float64)
+    # a time before every start lands on the -inf sentinel at index -1
+    ends = np.append([spans[i].end_s for i in order], -np.inf)
+    at = np.searchsorted(starts, t, side="right") - 1
+    outside = np.flatnonzero(~(t < ends[at]))
+    if outside.size:
+        raise ValueError(f"time {t[outside[0]]} falls outside every label span")
+    return [spans[order[i]].label for i in at.tolist()]
 
 
 def densify(names: list[str]) -> tuple[npt.NDArray[np.int64], tuple[str, ...]]:

@@ -56,7 +56,7 @@ class IncresResult:
 
 def transition_matrix(graph: SimilarityGraph) -> sparse.csr_array:
     """Column-stochastic random-walk operator: column j spreads j's mass to its neighbors."""
-    P = sparse.csr_array(graph.weights)
+    P = graph.weights.copy()
     P.data /= graph.degrees()[P.indices]
     return P
 

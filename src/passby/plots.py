@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 WIDTH = 720
 HEIGHT = 440
@@ -77,22 +78,36 @@ def embedding_svg(matrix: np.ndarray) -> str:
     return _svg(body)
 
 
-def heatmap_svg(weights: np.ndarray) -> str:
+def heatmap_svg(weights: np.ndarray | sparse.sparray) -> str:
     """Grayscale matrix picture: value 1 paints white, value 0 paints black.
 
-    Each run of equal grey within a row is painted as one rect.
+    Each run of equal grey within a row is painted as one rect.  The runs
+    are found from the stored entries of each CSR row, in O(nnz): a run can
+    only start at column 0, at a stored entry, or right after one.  A dense
+    matrix is converted once.
     """
-    W = np.asarray(weights, dtype=np.float64)
+    W = sparse.csr_array(weights, dtype=np.float64)
+    W.sum_duplicates()
     n = W.shape[0]
     side = WIDTH - 2 * MARGIN
     cell = side / n
-    grey = np.clip(np.rint(W * 255.0), 0, 255).astype(int)
-    starts = np.ones((n, n), dtype=bool)
-    starts[:, 1:] = grey[:, 1:] != grey[:, :-1]
-    rows, cols = np.nonzero(starts)
-    flat = rows * n + cols
+    # flat positions i * n + j of the stored entries, ascending, then a sentinel
+    row_starts = np.arange(n, dtype=np.int64) * n
+    flat = np.append(np.repeat(row_starts, np.diff(W.indptr)) + W.indices, n * n)
+    flat_grey = np.append(np.clip(np.rint(W.data * 255.0), 0, 255).astype(int), 0)
+
+    def grey_at(positions: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(flat, positions)
+        return np.where(flat[at] == positions, flat_grey[at], 0)
+
+    candidates = np.unique(np.concatenate([row_starts, flat[:-1], flat[:-1] + 1]))
+    candidates = candidates[candidates < n * n]
+    grey = grey_at(candidates)
+    opens = (candidates % n == 0) | (grey != grey_at(candidates - 1))
+    starts = candidates[opens]
+    rows, cols = np.divmod(starts, n)
     # every row opens with a run, so a run ends where the next one starts
-    lengths = np.diff(flat, append=n * n)
+    lengths = np.diff(starts, append=n * n)
     offsets = [f"{MARGIN + j * cell:.2f}" for j in range(n)]
     widths = [f"{run * cell + 0.35:.2f}" for run in range(n + 1)]
     height = f"{cell + 0.35:.2f}"
@@ -102,7 +117,7 @@ def heatmap_svg(weights: np.ndarray) -> str:
             f'<rect x="{offsets[j]}" y="{offsets[i]}" width="{widths[run]}" height="{height}" '
             f'fill="{fills[g]}"/>\n'
             for i, j, run, g in zip(
-                rows.tolist(), cols.tolist(), lengths.tolist(), grey[rows, cols].tolist()
+                rows.tolist(), cols.tolist(), lengths.tolist(), grey[opens].tolist()
             )
         ]
     )

@@ -11,6 +11,9 @@ import numpy.typing as npt
 from scipy.io import wavfile
 
 
+STFT_BLOCK_ROWS = 256  # windows transformed together in stft_features
+
+
 class AudioIOError(Exception):
     """A file could not be read as audio at all."""
 
@@ -284,9 +287,14 @@ def stft_features(
             f"signal has {x.size} samples; at least one window of {cfg.window_len} required"
         )
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
-    if cfg.taper == "hamming":
-        frames = frames * np.hamming(cfg.window_len)
-    mags = np.abs(np.fft.rfft(frames, axis=1))[:, 1 : m + 1]
+    taper = np.hamming(cfg.window_len) if cfg.taper == "hamming" else None
+    # row blocks: only one block's full complex spectrum is alive at a time
+    mags = np.empty((frames.shape[0], m))
+    for start in range(0, frames.shape[0], STFT_BLOCK_ROWS):
+        block = frames[start : start + STFT_BLOCK_ROWS]
+        if taper is not None:
+            block = block * taper
+        mags[start : start + STFT_BLOCK_ROWS] = np.abs(np.fft.rfft(block, axis=1)[:, 1 : m + 1])
     if cfg.smoothing_len is not None:
         mags = _moving_mean(mags, cfg.smoothing_len)
     starts = cfg.hop * np.arange(frames.shape[0]) / signal.sample_rate

@@ -146,7 +146,7 @@ def test_criterion_4_laplacian_suite():
             m = int(rng.integers(1, min(9, n)))
             X = rng.normal(size=(n, int(rng.integers(3, 8)))) + 2.0
             lap = laplacian(knn_graph(X, neighbors=m))
-            L = lap.matrix
+            L = lap.matrix.toarray()
             assert np.array_equal(L, L.T)
             vals = np.linalg.eigvalsh(L)
             assert vals.min() > -1e-10

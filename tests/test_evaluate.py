@@ -193,6 +193,49 @@ def test_labels_from_spans_boundary_is_half_open():
         labels_from_spans(spans, [2.0])
 
 
+def _labels_by_loop(spans, times):
+    """Every time against every span, first cover wins (reference)."""
+    out = []
+    for t in np.asarray(times, dtype=np.float64):
+        for span in spans:
+            if span.start_s <= t < span.end_s:
+                out.append(span.label)
+                break
+        else:
+            raise ValueError(f"time {t} falls outside every label span")
+    return out
+
+
+def test_labels_from_spans_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        count = int(rng.integers(1, 8))
+        gaps = rng.uniform(0.0, 1.0, size=count) * (trial % 2)  # odd trials leave gaps
+        lengths = rng.uniform(0.1, 2.0, size=count)
+        starts, ends = np.empty(count), np.empty(count)
+        end = 0.0
+        for i in range(count):
+            # a gapless span starts exactly where the one before it ends
+            starts[i] = end + gaps[i]
+            ends[i] = end = starts[i] + lengths[i]
+        spans = [
+            LabelSpan(f"c{int(rng.integers(3))}", float(a), float(b)) for a, b in zip(starts, ends)
+        ]
+        shuffled = [spans[i] for i in rng.permutation(count)]
+        inside = [rng.uniform(a, b) for a, b in zip(starts, ends)]
+        edges = list(starts)  # half-open: a start belongs to its own span
+        times = rng.permutation(np.array(inside + edges))
+        assert labels_from_spans(shuffled, times) == _labels_by_loop(spans, times)
+        outside = [float(starts[0]) - 0.5, float(ends[-1])]
+        if trial % 2:
+            outside += [float(e) for e in ends[:-1]]  # a gap opens at every end
+        for t in outside:
+            with pytest.raises(ValueError, match="outside every label span"):
+                _labels_by_loop(spans, [t])
+            with pytest.raises(ValueError, match="outside every label span"):
+                labels_from_spans(shuffled, [0.5 * (starts[0] + ends[0]), t])
+
+
 def test_densify_first_appearance_order():
     ids, names = densify(["van", "truck", "van", "sedan", "truck"])
     assert ids.tolist() == [0, 1, 0, 2, 1]

@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import passby.graph as graph_module
 from passby.graph import (
     SCALE_FLOOR,
     IsolatedVertexError,
@@ -61,7 +63,7 @@ def test_cosine_distance_zero_vector_rejected():
 def test_pairwise_matches_scalar_routine():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(12, 5))
-    D = pairwise_cosine_distances(X)
+    D = np.vstack(list(pairwise_cosine_distances(X)))
     for i in range(12):
         for j in range(12):
             assert D[i, j] == pytest.approx(cosine_distance(X[i], X[j]), abs=1e-12)
@@ -81,8 +83,8 @@ def test_pairwise_scale_invariance():
     rng = np.random.default_rng(1)
     X = _random_features(rng, 20, 8)
     scales = rng.uniform(0.5, 50.0, size=(20, 1))
-    base = pairwise_cosine_distances(X)
-    scaled = pairwise_cosine_distances(X * scales)
+    base = np.vstack(list(pairwise_cosine_distances(X)))
+    scaled = np.vstack(list(pairwise_cosine_distances(X * scales)))
     assert np.max(np.abs(base - scaled)) < 1e-12
 
 
@@ -141,19 +143,19 @@ def test_knn_permutation_equivariance():
     g = knn_graph(X, neighbors=4)
     perm = rng.permutation(25)
     gp = knn_graph(X[perm], neighbors=4)
-    expected = g.weights[np.ix_(perm, perm)]
-    assert np.allclose(gp.weights, expected, rtol=0.0, atol=1e-12)
-    assert np.array_equal(gp.weights > 0.0, expected > 0.0)
+    expected = g.weights.toarray()[np.ix_(perm, perm)]
+    assert np.allclose(gp.weights.toarray(), expected, rtol=0.0, atol=1e-12)
+    assert np.array_equal(gp.weights.toarray() > 0.0, expected > 0.0)
     assert np.allclose(gp.scales, g.scales[perm], rtol=0.0, atol=1e-12)
 
 
 def test_knn_weights_in_unit_interval_and_symmetric():
     rng = np.random.default_rng(4)
     X = _random_features(rng, 40, 5)
-    g = knn_graph(X, neighbors=6)
-    assert np.array_equal(g.weights, g.weights.T)
-    assert np.all(np.diag(g.weights) == 0.0)
-    assert g.weights.max() <= 1.0 and g.weights.min() >= 0.0
+    W = knn_graph(X, neighbors=6).weights.toarray()
+    assert np.array_equal(W, W.T)
+    assert np.all(np.diag(W) == 0.0)
+    assert W.max() <= 1.0 and W.min() >= 0.0
 
 
 def test_knn_neighbor_range_errors():
@@ -170,7 +172,7 @@ def test_knn_duplicate_rows_use_positive_scale_floor():
     X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     g = knn_graph(X, neighbors=1)
     assert np.all(g.scales >= SCALE_FLOOR)
-    d01 = pairwise_cosine_distances(X)[0]
+    d01 = next(pairwise_cosine_distances(X))[0]
     positives = d01[d01 > SCALE_FLOOR]
     assert g.scales[0] == pytest.approx(positives.min())
 
@@ -205,14 +207,42 @@ def test_knn_selection_matches_stable_argsort(data):
     upper = data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
     d = np.triu(np.array(upper, dtype=np.float64).reshape(n, n), k=1)
     d = d + d.T
+    # the rows arrive in blocks, as knn_graph feeds them
+    height = data.draw(st.integers(1, n))
+    blocks = [d[start : start + height] for start in range(0, n, height)]
     expected = _knn_by_stable_argsort(d, neighbors)
     if expected is None:
         with pytest.raises(ScaleError):
-            knn_graph_from_distances(d, neighbors)
+            knn_graph_from_distances(blocks, neighbors)
         return
-    g = knn_graph_from_distances(d, neighbors)
-    assert np.array_equal(g.weights, expected[0])
+    g = knn_graph_from_distances(blocks, neighbors)
+    assert np.array_equal(g.weights.toarray(), expected[0])
     assert np.array_equal(g.scales, expected[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_knn_graph_csr_is_symmetric_loopless_and_covers_every_vertex(data):
+    # small integer coordinates make duplicate rows and distance ties common
+    n = data.draw(st.integers(2, 30))
+    dim = data.draw(st.integers(1, 5))
+    X = np.array(
+        data.draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim)), dtype=float
+    ).reshape(n, dim)
+    X[X.sum(axis=1) == 0.0, 0] = 1.0  # no zero rows
+    neighbors = data.draw(st.integers(1, n - 1))
+    # small distance blocks, so that most examples cross block boundaries
+    with mock.patch.object(graph_module, "BLOCK_ROWS", data.draw(st.integers(1, n))):
+        try:
+            W = knn_graph(X, neighbors).weights
+        except ScaleError:
+            # only when every row points the same way
+            unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+            assert np.abs(unit - unit[0]).max() < 1e-6
+            return
+    assert (W != W.T).nnz == 0
+    assert np.all(W.diagonal() == 0.0)
+    assert np.all(np.diff(W.indptr) >= neighbors)
 
 
 def test_knn_all_duplicate_rows_rejected():
@@ -244,7 +274,7 @@ def test_graph_csv_roundtrip(tmp_path):
         i, j = int(i_s), int(j_s)
         assert i < j
         W[i, j] = W[j, i] = float(w_s)
-    assert np.array_equal(W, g.weights)
+    assert np.array_equal(W, g.weights.toarray())
     assert np.array_equal(np.array(meta["scales"]), g.scales)
     assert meta["neighbors"] == g.neighbors
 
@@ -260,7 +290,7 @@ def test_laplacian_two_vertices():
     # one edge of any weight normalizes to [[1,-1],[-1,1]] with spectrum {0,2}
     for w in (0.3, 1.0, 2.5):
         g = _graph_from_weights(np.array([[0.0, w], [w, 0.0]]))
-        L = laplacian(g).matrix
+        L = laplacian(g).matrix.toarray()
         assert np.allclose(L, np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-15)
         vals = np.linalg.eigvalsh(L)
         assert vals == pytest.approx([0.0, 2.0], abs=1e-12)
@@ -270,7 +300,7 @@ def test_laplacian_triangle_spectrum():
     # equal-weight triangle: normalized spectrum is {0, 3/2, 3/2}
     w = np.full((3, 3), 0.8)
     np.fill_diagonal(w, 0.0)
-    L = laplacian(_graph_from_weights(w)).matrix
+    L = laplacian(_graph_from_weights(w)).matrix.toarray()
     vals = np.linalg.eigvalsh(L)
     assert vals == pytest.approx([0.0, 1.5, 1.5], abs=1e-12)
 
@@ -279,7 +309,7 @@ def test_laplacian_exact_symmetry_random():
     rng = np.random.default_rng(7)
     for trial in range(20):
         g = knn_graph(_random_features(rng, 25, 6), neighbors=int(rng.integers(2, 8)))
-        L = laplacian(g).matrix
+        L = laplacian(g).matrix.toarray()
         assert np.array_equal(L, L.T)
 
 
@@ -296,7 +326,7 @@ def test_laplacian_spectrum_bounds():
     for trial in range(20):
         n = int(rng.integers(8, 40))
         g = knn_graph(_random_features(rng, n, 4), neighbors=int(rng.integers(1, 6)))
-        vals = np.linalg.eigvalsh(laplacian(g).matrix)
+        vals = np.linalg.eigvalsh(laplacian(g).matrix.toarray())
         assert vals.min() > -1e-10
         assert vals.max() < 2.0 + 1e-10
         assert abs(vals[0]) < 1e-10  # constant-in-degree-scaled null direction
@@ -310,7 +340,7 @@ def test_laplacian_zero_multiplicity_counts_components():
             for j in block:
                 if i != j:
                     w[i, j] = 0.9
-    vals = np.linalg.eigvalsh(laplacian(_graph_from_weights(w)).matrix)
+    vals = np.linalg.eigvalsh(laplacian(_graph_from_weights(w)).matrix.toarray())
     assert abs(vals[0]) < 1e-12 and abs(vals[1]) < 1e-12
     assert vals[2] > 0.1
 

@@ -84,7 +84,7 @@ def test_transition_path_values():
 
 def test_transition_matches_dense_division_bitwise():
     g = knn_graph(np.random.default_rng(4).normal(size=(30, 5)) + 2.0, neighbors=4)
-    dense = g.weights / g.degrees()[None, :]
+    dense = g.weights.toarray() / g.degrees()[None, :]
     assert np.array_equal(transition_matrix(g).toarray(), dense)
 
 
@@ -169,7 +169,7 @@ def test_grow_steps_match_bfs_oracle_on_paths():
         mass[1, 0] = 1.0
         out, steps, exhausted = grow(mass, transition_matrix(g), cap=10 * n)
         assert not exhausted
-        assert steps == n - 2 == _bfs_eccentricity(g.weights, [0, 1])
+        assert steps == n - 2 == _bfs_eccentricity(g.weights.toarray(), [0, 1])
 
 
 def test_grow_oscillates_on_bipartite_single_seed():
@@ -231,7 +231,7 @@ def test_stationary_limit_matches_long_dense_diffusion():
     mass[3, 1] = 1.0
     mass[7, 1] = 3.0
     mass[10, 0] = 1.0
-    dense = g.weights / g.degrees()[None, :]
+    dense = g.weights.toarray() / g.degrees()[None, :]
     walked, steps, exhausted = grow(mass, dense, cap=2000)
     assert exhausted and steps == 2000
     component = component_labels(transition_matrix(g))

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.io import wavfile
 
 from passby.cli import main
@@ -360,6 +364,21 @@ def test_cli_config_file_flow(tmp_path, capsys):
 # ------------------------------------------------------------------ plots
 
 
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # they cost set-up time on every run; the Lanczos solver imports its
+    # module only when a component is large enough to need it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, passby.cli; "
+        "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph', 'scipy.optimize') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_heatmap_paints_extremes():
     svg = heatmap_svg(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert "rgb(0,0,0)" in svg
@@ -411,6 +430,18 @@ def test_heatmap_matches_loop_reference():
         W[-1] = 1.0
         assert heatmap_svg(W) == _heatmap_by_loop(W)
         assert heatmap_svg(np.full((n, n), 0.5)) == _heatmap_by_loop(np.full((n, n), 0.5))
+
+
+def test_heatmap_of_csr_matches_loop_reference():
+    # runs are found from the stored entries only; a stored weight that
+    # rounds to grey 0 must merge with the unstored zeros around it
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5, 30):
+        W = rng.choice([0.0, 1e-4, 0.5, 1.0], p=[0.7, 0.1, 0.1, 0.1], size=(n, n))
+        W[0] = 0.0  # an empty row
+        assert heatmap_svg(sparse.csr_array(W)) == _heatmap_by_loop(W)
+    g = knn_graph(rng.normal(size=(60, 4)) + 2.0, neighbors=5)
+    assert heatmap_svg(g.weights) == _heatmap_by_loop(g.weights.toarray())
 
 
 def test_timeline_uses_distinct_band_colors():

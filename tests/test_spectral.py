@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy import sparse
 
 from passby.graph import SimilarityGraph, knn_graph, laplacian
 from passby.spectral import (
@@ -97,7 +99,7 @@ def test_eigendecompose_matches_jacobi_oracle():
         lap = _random_laplacian(rng, int(rng.integers(6, 16)))
         n = lap.matrix.shape[0]
         emb = eigendecompose(lap, p=n)
-        ref_vals, ref_vecs = jacobi_eigh(lap.matrix)
+        ref_vals, ref_vecs = jacobi_eigh(lap.matrix.toarray())
         assert np.allclose(emb.eigenvalues, ref_vals, atol=1e-10)
         # compare eigenspaces pairwise where the spectrum is simple
         gaps_ok = np.diff(ref_vals) > 1e-6
@@ -169,7 +171,7 @@ def test_eigendecompose_per_component_matches_dense_oracle():
         n = g.n_vertices
         p = int(rng.integers(c, n + 1))
         emb = eigendecompose(lap, p=p)
-        assert np.allclose(emb.eigenvalues, np.linalg.eigvalsh(lap.matrix)[:p], rtol=0.0, atol=1e-12)
+        assert np.allclose(emb.eigenvalues, np.linalg.eigvalsh(lap.matrix.toarray())[:p], rtol=0.0, atol=1e-12)
         gram = emb.eigenvectors.T @ emb.eigenvectors
         assert np.allclose(gram, np.eye(p), rtol=0.0, atol=1e-12)
         resid = lap.matrix @ emb.eigenvectors - emb.eigenvectors * emb.eigenvalues
@@ -177,7 +179,7 @@ def test_eigendecompose_per_component_matches_dense_oracle():
         # the nullspace basis is pinned: one normalized sqrt(degree) vector per
         # component, zero elsewhere, in order of each component's smallest vertex
         assert np.all(emb.eigenvalues[:c] == 0.0)
-        reach = (g.weights > 0.0).astype(float) + np.eye(n)
+        reach = (g.weights.toarray() > 0.0).astype(float) + np.eye(n)
         reach = np.linalg.matrix_power(reach, n) > 0.0
         firsts = sorted({int(np.flatnonzero(row)[0]) for row in reach})
         assert len(firsts) == c
@@ -190,6 +192,88 @@ def test_eigendecompose_per_component_matches_dense_oracle():
         for j in range(c, p):
             support = np.flatnonzero(emb.eigenvectors[:, j])
             assert np.all(reach[support[0], support])
+
+
+def _cycle_weights(m):
+    i = np.arange(m)
+    W = sparse.coo_array((np.ones(m), (i, (i + 1) % m)), shape=(m, m))
+    return (W + W.T).tocsr()
+
+
+def _random_connected_weights(rng, m):
+    """A weighted cycle through a random vertex order plus random chords."""
+    order = rng.permutation(m)
+    rows = np.concatenate([order, rng.integers(0, m, size=2 * m)])
+    cols = np.concatenate([np.roll(order, 1), rng.integers(0, m, size=2 * m)])
+    keep = rows != cols
+    W = sparse.coo_array(
+        (rng.uniform(0.1, 1.0, size=keep.sum()), (rows[keep], cols[keep])), shape=(m, m)
+    ).tocsr()
+    W = W + W.T  # a chord drawn twice just gets heavier
+    return W
+
+
+def _graph_of(W, rng=None):
+    if rng is not None:
+        perm = rng.permutation(W.shape[0])
+        W = W[perm][:, perm]
+    return SimilarityGraph(weights=W, scales=np.ones(W.shape[0]), neighbors=1)
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Count the Lanczos solves that eigendecompose starts."""
+    calls = []
+    real = scipy.sparse.linalg.eigsh
+
+    def counting(A, **kwargs):
+        calls.append(A.shape[0])
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    return calls
+
+
+def test_eigendecompose_lanczos_finds_repeated_eigenvalues(eigsh_calls):
+    # the residual check cannot see a missed eigenvalue, so compare the
+    # spectrum with a dense solve where eigenvalues repeat: a cycle (every
+    # nonzero eigenvalue double) and three shuffled copies of one graph
+    rng = np.random.default_rng(12)
+    one = _random_connected_weights(rng, 400)
+    for g, blocks in (
+        (_graph_of(_cycle_weights(400)), [400]),
+        (_graph_of(sparse.block_diag([one] * 3, format="csr"), rng), [400] * 3),
+    ):
+        eigsh_calls.clear()
+        lap = laplacian(g)
+        emb = eigendecompose(lap, p=20)
+        assert eigsh_calls == blocks
+        dense = np.linalg.eigvalsh(lap.matrix.toarray())[:20]
+        assert np.allclose(emb.eigenvalues, dense, rtol=0.0, atol=1e-10)
+        assert np.allclose(emb.eigenvectors.T @ emb.eigenvectors, np.eye(20), rtol=0.0, atol=1e-10)
+
+
+def test_eigendecompose_small_components_stay_dense(eigsh_calls):
+    # the default run's ~48-vertex and the 480-window run's ~160-vertex
+    # components are solved by dense eigh
+    rng = np.random.default_rng(13)
+    for size in (48, 160):
+        one = _random_connected_weights(rng, size)
+        lap = laplacian(_graph_of(sparse.block_diag([one] * 3, format="csr"), rng))
+        emb = eigendecompose(lap, p=20)
+        dense = np.linalg.eigvalsh(lap.matrix.toarray())[:20]
+        assert np.allclose(emb.eigenvalues, dense, rtol=0.0, atol=1e-12)
+    assert eigsh_calls == []
+
+
+def test_eigendecompose_lanczos_is_deterministic(eigsh_calls):
+    rng = np.random.default_rng(14)
+    lap = laplacian(_graph_of(_random_connected_weights(rng, 600), rng))
+    first = eigendecompose(lap, p=20)
+    second = eigendecompose(lap, p=20)
+    assert eigsh_calls == [600, 600]
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
 
 def test_eigendecompose_p_out_of_range():

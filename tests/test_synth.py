@@ -37,7 +37,7 @@ def test_block_spec_validation():
 def test_block_matrix_noiseless_levels():
     spec = BlockSpec(noise_fraction=0.0)
     graph, fine, coarse = gen_block_similarity(spec)
-    S = graph.weights
+    S = graph.weights.toarray()
     assert S.shape == (100, 100)
     assert np.array_equal(S, S.T)
     assert np.all(np.diag(S) == 0.0)
@@ -64,20 +64,20 @@ def test_block_matrix_truth_vectors():
 
 def test_block_matrix_noise_stays_on_levels():
     graph, _, _ = gen_block_similarity(BlockSpec(noise_fraction=0.2, rng_seed=5))
-    S = graph.weights
+    S = graph.weights.toarray()
     off = S[~np.eye(S.shape[0], dtype=bool)]
     assert set(np.unique(off)) <= {0.05, 0.5 * (0.9 + 0.05), 0.9}
     # noise snaps sibling-level entries to the extremes, so some must move
-    base = gen_block_similarity(BlockSpec(noise_fraction=0.0))[0].weights
+    base = gen_block_similarity(BlockSpec(noise_fraction=0.0))[0].weights.toarray()
     changed = np.count_nonzero(S != base) / 2
     pairs = S.shape[0] * (S.shape[0] - 1) / 2
     assert 0.02 < changed / pairs < 0.25
 
 
 def test_block_matrix_deterministic():
-    a = gen_block_similarity(BlockSpec(rng_seed=9))[0].weights
-    b = gen_block_similarity(BlockSpec(rng_seed=9))[0].weights
-    c = gen_block_similarity(BlockSpec(rng_seed=10))[0].weights
+    a = gen_block_similarity(BlockSpec(rng_seed=9))[0].weights.toarray()
+    b = gen_block_similarity(BlockSpec(rng_seed=9))[0].weights.toarray()
+    c = gen_block_similarity(BlockSpec(rng_seed=10))[0].weights.toarray()
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -176,7 +176,7 @@ def test_clean_clips_have_identical_window_features():
     bank = (_clean_spec("a", 32.0), _clean_spec("b", 64.0))
     signal, _ = gen_vehicle_audio(bank, passages=(0, 1), rng_seed=0)
     fm = stft_features(signal, WindowingConfig(), m=1500)
-    D = pairwise_cosine_distances(fm.values)
+    D = np.vstack(list(pairwise_cosine_distances(fm.values)))
     n = fm.n_windows
     half = n // 2
     within_a = D[:half, :half][np.triu_indices(half, k=1)]
@@ -190,7 +190,7 @@ def test_clean_clips_have_identical_window_features():
 def test_default_bank_within_class_tighter_than_between():
     signal, spans = gen_vehicle_audio(default_vehicle_bank(), rng_seed=3)
     fm = stft_features(signal, WindowingConfig(), m=1500)
-    D = pairwise_cosine_distances(fm.values)
+    D = np.vstack(list(pairwise_cosine_distances(fm.values)))
     mid = fm.start_times + fm.window_len / (2 * fm.sample_rate)
     truth = np.array([[s.label for s in spans if s.start_s <= t < s.end_s][0] for t in mid])
     same = truth[:, None] == truth[None, :]
