@@ -6,13 +6,7 @@ import argparse
 import sys
 from typing import Any
 
-from .pipeline import (
-    ConfigError,
-    PipelineConfig,
-    StageError,
-    exit_code_for,
-    run_pipeline,
-)
+from .pipeline import ConfigError, PipelineConfig, exit_code_for, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,23 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, Any]:
-    keys = (
-        "manifest",
-        "window_len",
-        "overlap",
-        "taper",
-        "smoothing_len",
-        "m",
-        "neighbors",
-        "k",
-        "k_max",
-        "method",
-        "iterations",
-        "seed_rate",
-        "restarts",
-        "seed",
-    )
-    out: dict[str, Any] = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    """The flags given on the command line, as PipelineConfig fields."""
+    out: dict[str, Any] = {
+        k: v for k, v in vars(args).items() if v is not None and k not in ("config", "out")
+    }
     if args.out is not None:
         out["out_dir"] = args.out
     if "k" in out and out["k"] != "auto":
@@ -79,9 +60,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cfg = PipelineConfig.from_dict(overrides)
         result = run_pipeline(cfg)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
     except ConfigError as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return exit_code_for(exc)

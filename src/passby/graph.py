@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import numpy.typing as npt
@@ -222,10 +219,7 @@ def laplacian(graph: SimilarityGraph) -> Laplacian:
     scale factors commutes, so the matrix is exactly symmetric.
     """
     W = graph.weights
-    deg = graph.degrees()
-    isolated = np.flatnonzero(deg == 0.0)
-    if isolated.size:
-        raise IsolatedVertexError(f"vertices with zero degree: {isolated.tolist()}")
+    deg = graph.degrees()  # positive: a SimilarityGraph has no isolated vertex
     inv_sqrt = 1.0 / np.sqrt(deg)
     rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
     A = sparse.csr_array(
@@ -255,20 +249,3 @@ def component_labels(adjacency: sparse.csr_array) -> npt.NDArray[np.int64]:
             return np.unique(root, return_inverse=True)[1].astype(np.int64)
         root = new
 
-
-def write_graph_csv(
-    graph: SimilarityGraph, csv_path: str | Path, meta_path: str | Path
-) -> None:
-    """Edge triplets i,j,weight (i < j) plus a JSON sidecar with n, neighbors, scales."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "weight"])
-        writer.writerows((i, j, repr(w)) for i, j, w in graph.edge_list())
-    meta = {
-        "n": graph.n_vertices,
-        "neighbors": graph.neighbors,
-        "scales": [float(s) for s in graph.scales],
-    }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")

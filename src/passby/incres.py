@@ -30,7 +30,6 @@ class IncresConfig:
     iterations: int = 200
     seed_rate: float = 0.1
     rng_seed: int = 0
-    grow_cap: int | None = None  # None: 10 * n at run time
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -39,8 +38,6 @@ class IncresConfig:
             raise ValueError("iterations must be positive")
         if self.seed_rate <= 0.0:
             raise ValueError("seed_rate must be positive")
-        if self.grow_cap is not None and self.grow_cap < 1:
-            raise ValueError("grow_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,7 @@ def incres_cluster(graph: SimilarityGraph, cfg: IncresConfig) -> IncresResult:
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the {n} vertices available")
     P = transition_matrix(graph)
-    cap = cfg.grow_cap if cfg.grow_cap is not None else 10 * n
+    cap = 10 * n
     component = component_labels(P)
     deg = graph.degrees()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed))
@@ -240,7 +237,6 @@ def incres_embedding(
             iterations=cfg.iterations,
             seed_rate=cfg.seed_rate,
             rng_seed=int(streams[j - 2].generate_state(1)[0]),
-            grow_cap=cfg.grow_cap,
         )
         result = incres_cluster(graph, sub)
         columns.append(embedding_column(result))

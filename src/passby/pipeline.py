@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -19,7 +21,6 @@ from .graph import (
     ZeroNormError,
     knn_graph,
     laplacian,
-    write_graph_csv,
 )
 from .incres import IncresConfig, incres_cluster, incres_embedding
 from .signal import (
@@ -36,6 +37,7 @@ from .signal import (
 from .spectral import (
     EigensolverError,
     KmeansConfig,
+    Partition,
     eigendecompose,
     estimate_k,
     kmeans,
@@ -110,12 +112,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         try:
-            WindowingConfig(
-                window_len=self.window_len,
-                overlap=self.overlap,
-                taper=self.taper,
-                smoothing_len=self.smoothing_len,
-            )
+            self.windowing()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.method not in METHODS:
@@ -173,38 +170,44 @@ class PipelineConfig:
 class RunResult:
     report: dict[str, Any]
     out_dir: Path
-    artifacts: list[Path] = field(default_factory=list)
 
 
 def _derived_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, tag)).generate_state(1)[0])
 
 
-def _methods_to_run(method: str) -> tuple[str, ...]:
-    return ("spectral", "incres") if method == "both" else (method,)
-
-
 class _Stages:
-    """Tracks per-stage wall time and which artifacts a run has created."""
+    """Times each stage and tracks the files a run writes, so a failure can remove them."""
 
-    def __init__(self) -> None:
+    def __init__(self, out: Path) -> None:
+        self.out = out
         self.timings: dict[str, float] = {}
         self.created: list[Path] = []
 
-    def run(self, name: str, fn):
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Time the block; wrap any Exception it raises in StageError(name)."""
         start = time.perf_counter()
         try:
-            out = fn()
-        except StageError:
-            raise
+            yield
         except Exception as exc:
             raise StageError(name, exc) from exc
         self.timings[name] = time.perf_counter() - start
-        return out
 
     def track(self, path: Path) -> Path:
         self.created.append(path)
         return path
+
+    def write_csv(self, name: str, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
+        with open(self.track(self.out / name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def write_json(self, name: str, payload: dict[str, Any]) -> None:
+        with open(self.track(self.out / name), "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
     def discard_artifacts(self) -> None:
         for path in self.created:
@@ -222,7 +225,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     re-raises as StageError naming the stage.  An interrupt (KeyboardInterrupt,
     SystemExit) removes them too and propagates unchanged.
     """
-    stages = _Stages()
+    stages = _Stages(Path(cfg.out_dir))
     try:
         return _run(cfg, stages)
     except BaseException:
@@ -231,195 +234,150 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
 
 def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
-    out = Path(cfg.out_dir)
+    out = stages.out
 
-    def stage_setup():
+    with stages.stage("setup"):
         out.mkdir(parents=True, exist_ok=True)
         if cfg.manifest is not None and not Path(cfg.manifest).is_file():
             raise ConfigError(f"manifest {cfg.manifest} does not exist")
-        return out
 
-    stages.run("setup", stage_setup)
-
-    def stage_input() -> tuple[list[ManifestEntry], Path]:
+    with stages.stage("input"):
         if cfg.manifest is not None:
-            return read_manifest(cfg.manifest), Path(cfg.manifest).parent
-        composite, spans = gen_vehicle_audio(default_vehicle_bank(), rng_seed=cfg.seed)
-        wav_path = stages.track(out / "synthetic.wav")
-        write_wav(composite, wav_path, encoding="float32")
-        entries = [
-            ManifestEntry(
-                path="synthetic.wav",
-                label=s.label,
-                start_s=s.start_s,
-                duration_s=s.end_s - s.start_s,
-            )
-            for s in spans
-        ]
-        manifest_path = stages.track(out / "manifest.csv")
-        write_manifest(entries, manifest_path)
-        return entries, out
+            entries, base_dir = read_manifest(cfg.manifest), Path(cfg.manifest).parent
+        else:
+            synthetic, synthetic_spans = gen_vehicle_audio(default_vehicle_bank(), rng_seed=cfg.seed)
+            write_wav(synthetic, stages.track(out / "synthetic.wav"), encoding="float32")
+            del synthetic  # ingest reads it back from the file
+            entries = [
+                ManifestEntry(
+                    path="synthetic.wav",
+                    label=s.label,
+                    start_s=s.start_s,
+                    duration_s=s.end_s - s.start_s,
+                )
+                for s in synthetic_spans
+            ]
+            write_manifest(entries, stages.track(out / "manifest.csv"))
+            base_dir = out
 
-    entries, base_dir = stages.run("input", stage_input)
+    with stages.stage("ingest"):
+        composite, spans = assemble_composite(entries, base_dir=base_dir)
 
-    def stage_ingest():
-        return assemble_composite(entries, base_dir=base_dir)
+    with stages.stage("features"):
+        features = stft_features(composite, cfg.windowing(), m=cfg.m)
 
-    composite, spans = stages.run("ingest", stage_ingest)
+    with stages.stage("graph"):
+        graph = knn_graph(features.values, neighbors=cfg.neighbors)
+        lap = laplacian(graph)
 
-    def stage_features():
-        return stft_features(composite, cfg.windowing(), m=cfg.m)
-
-    features = stages.run("features", stage_features)
-
-    def stage_graph():
-        g = knn_graph(features.values, neighbors=cfg.neighbors)
-        return g, laplacian(g)
-
-    graph, lap = stages.run("graph", stage_graph)
-
-    def stage_spectrum():
-        p = min(graph.n_vertices, max(cfg.k_max + 1, 20))
-        emb = eigendecompose(lap, p)
-        estimated = (
-            estimate_k(emb.eigenvalues, cfg.k_max) if emb.p >= cfg.k_max + 1 else None
+    with stages.stage("spectrum"):
+        embedding = eigendecompose(lap, min(graph.n_vertices, max(cfg.k_max + 1, 20)))
+        k_estimated = (
+            estimate_k(embedding.eigenvalues, cfg.k_max) if embedding.p >= cfg.k_max + 1 else None
         )
-        used = estimated if cfg.k == "auto" else int(cfg.k)
-        if used is None:
+        k_used = k_estimated if cfg.k == "auto" else int(cfg.k)
+        if k_used is None:
             raise ConfigError(
                 f"k='auto' needs at least {cfg.k_max + 1} eigenvalues; graph has {graph.n_vertices} vertices"
             )
-        return emb, estimated, used
 
-    embedding, k_estimated, k_used = stages.run("spectrum", stage_spectrum)
+    def incres_config(tag: int) -> IncresConfig:
+        return IncresConfig(
+            k=k_used,
+            iterations=cfg.iterations,
+            seed_rate=cfg.seed_rate,
+            rng_seed=_derived_seed(cfg.seed, tag),
+        )
 
-    def stage_cluster():
-        results: dict[str, np.ndarray] = {}
-        extras: dict[str, dict[str, Any]] = {}
-        for method in _methods_to_run(cfg.method):
+    def kmeans_config(tag: int) -> KmeansConfig:
+        return KmeansConfig(restarts=cfg.restarts, seed=_derived_seed(cfg.seed, tag))
+
+    methods = ("spectral", "incres") if cfg.method == "both" else (cfg.method,)
+    primary = methods[-1]
+    method_labels: dict[str, np.ndarray] = {}
+    method_extras: dict[str, dict[str, Any]] = {}
+    with stages.stage("cluster"):
+        for method in methods:
             if method == "spectral":
-                km = spectral_cluster(
-                    embedding,
-                    k_used,
-                    KmeansConfig(restarts=cfg.restarts, seed=_derived_seed(cfg.seed, 1)),
-                )
-                results[method] = km.partition.labels
-                extras[method] = {"wcss": km.wcss, "restart_index": km.restart_index}
+                km = spectral_cluster(embedding, k_used, kmeans_config(1))
+                method_labels[method] = km.partition.labels
+                method_extras[method] = {"wcss": km.wcss, "restart_index": km.restart_index}
             elif method == "incres":
-                res = incres_cluster(
-                    graph,
-                    IncresConfig(
-                        k=k_used,
-                        iterations=cfg.iterations,
-                        seed_rate=cfg.seed_rate,
-                        rng_seed=_derived_seed(cfg.seed, 2),
-                    ),
-                )
-                results[method] = res.partition.labels
-                extras[method] = {
+                res = incres_cluster(graph, incres_config(2))
+                method_labels[method] = res.partition.labels
+                method_extras[method] = {
                     "grow_steps_total": int(sum(res.grow_steps)),
                     "grow_steps_max": int(max(res.grow_steps)),
                     "cap_exhausted_rounds": int(sum(res.cap_exhausted)),
                     "limit_rounds": int(sum(res.limit_rounds)),
                 }
             else:  # incres-embedding
-                E, _ = incres_embedding(
-                    graph,
-                    k_used,
-                    IncresConfig(
-                        k=k_used,
-                        iterations=cfg.iterations,
-                        seed_rate=cfg.seed_rate,
-                        rng_seed=_derived_seed(cfg.seed, 3),
-                    ),
-                )
-                km = kmeans(
-                    E,
-                    k_used,
-                    KmeansConfig(restarts=cfg.restarts, seed=_derived_seed(cfg.seed, 4)),
-                )
-                results[method] = km.partition.labels
-                extras[method] = {"wcss": km.wcss, "columns": E.shape[1]}
-        return results, extras
+                E, _ = incres_embedding(graph, k_used, incres_config(3))
+                km = kmeans(E, k_used, kmeans_config(4))
+                method_labels[method] = km.partition.labels
+                method_extras[method] = {"wcss": km.wcss, "columns": E.shape[1]}
 
-    method_labels, method_extras = stages.run("cluster", stage_cluster)
-
-    def stage_evaluate():
+    evals: dict[str, dict[str, Any]] = {}
+    with stages.stage("evaluate"):
         mids = features.start_times + features.window_len / (2.0 * features.sample_rate)
         truth_names = labels_from_spans(spans, mids)
         truth_ids, class_names = densify(truth_names)
-        evals: dict[str, dict[str, Any]] = {}
         for method, labels in method_labels.items():
-            from .spectral import Partition
-
             cm = confusion(truth_ids, Partition(labels=labels, k=k_used), class_names)
             evals[method] = {
                 "purity": purity(cm),
                 "confusion": cm.counts.tolist(),
                 "alignment": list(align_labels(cm)),
             }
-        return truth_names, truth_ids, class_names, evals
 
-    truth_names, truth_ids, class_names, evals = stages.run("evaluate", stage_evaluate)
-
-    def stage_artifacts():
-        written: list[Path] = []
-        primary = (
-            "incres"
-            if "incres" in method_labels
-            else ("incres-embedding" if "incres-embedding" in method_labels else "spectral")
+    first_artifact = len(stages.created)
+    with stages.stage("artifacts"):
+        stages.write_csv(
+            "labels.csv",
+            ["window_index", "start_s", "cluster", "true_label"],
+            (
+                [i, repr(float(t)), int(c), name]
+                for i, (t, c, name) in enumerate(
+                    zip(features.start_times, method_labels[primary], truth_names)
+                )
+            ),
         )
-
-        labels_path = stages.track(out / "labels.csv")
-        with open(labels_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["window_index", "start_s", "cluster", "true_label"])
-            for i, (t, c, name) in enumerate(
-                zip(features.start_times, method_labels[primary], truth_names)
-            ):
-                writer.writerow([i, repr(float(t)), int(c), name])
-        written.append(labels_path)
-
-        spectrum_path = stages.track(out / "spectrum.csv")
-        with open(spectrum_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "eigenvalue"])
-            for i, v in enumerate(embedding.eigenvalues, start=1):
-                writer.writerow([i, repr(float(v))])
-        written.append(spectrum_path)
-
-        embedding_path = stages.track(out / "embedding.csv")
-        with open(embedding_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["window_index"] + [f"v{j}" for j in range(1, embedding.p + 1)])
-            for i in range(features.n_windows):
-                writer.writerow([i] + [repr(float(v)) for v in embedding.eigenvectors[i]])
-        written.append(embedding_path)
-
-        graph_csv = stages.track(out / "graph.csv")
-        graph_meta = stages.track(out / "graph.json")
-        write_graph_csv(graph, graph_csv, graph_meta)
-        written += [graph_csv, graph_meta]
-
+        stages.write_csv(
+            "spectrum.csv",
+            ["index", "eigenvalue"],
+            ([i, repr(float(v))] for i, v in enumerate(embedding.eigenvalues, start=1)),
+        )
+        stages.write_csv(
+            "embedding.csv",
+            ["window_index"] + [f"v{j}" for j in range(1, embedding.p + 1)],
+            ([i] + [repr(float(v)) for v in row] for i, row in enumerate(embedding.eigenvectors)),
+        )
+        stages.write_csv(
+            "graph.csv", ["i", "j", "weight"], ((i, j, repr(w)) for i, j, w in graph.edge_list())
+        )
+        stages.write_json(
+            "graph.json",
+            {
+                "n": graph.n_vertices,
+                "neighbors": graph.neighbors,
+                "scales": [float(s) for s in graph.scales],
+            },
+        )
         for method, ev in evals.items():
-            path = stages.track(out / f"confusion_{method}.json")
-            payload = {
-                "method": method,
-                "true_names": list(class_names),
-                "counts": ev["confusion"],
-                "purity": ev["purity"],
-                "alignment": ev["alignment"],
-            }
-            with open(path, "w") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-            written.append(path)
-
+            stages.write_json(
+                f"confusion_{method}.json",
+                {
+                    "method": method,
+                    "true_names": list(class_names),
+                    "counts": ev["confusion"],
+                    "purity": ev["purity"],
+                    "alignment": ev["alignment"],
+                },
+            )
         wave_path = stages.track(out / "plots" / "waveform.svg")
         wave_path.parent.mkdir(parents=True, exist_ok=True)
         wave_path.write_text(plots.waveform_svg(composite.samples, composite.sample_rate))
-        written.append(wave_path)
-        for p in plots.emit_plots(
+        for path in plots.emit_plots(
             out,
             embedding.eigenvalues,
             embedding.eigenvectors,
@@ -427,13 +385,9 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
             truth_names,
             graph.weights,
         ):
-            stages.track(p)
-            written.append(p)
-        return written, primary
+            stages.track(path)
 
-    artifact_paths, primary_method = stages.run("artifacts", stage_artifacts)
-
-    def stage_report():
+    with stages.stage("report"):
         report = {
             "parameters": asdict(cfg),
             "n_windows": features.n_windows,
@@ -449,7 +403,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
             "spectrum": [float(v) for v in embedding.eigenvalues],
             "true_classes": list(class_names),
             "true_labels": [int(t) for t in truth_ids],
-            "primary_method": primary_method,
+            "primary_method": primary,
             "methods": {
                 method: {
                     **evals[method],
@@ -458,13 +412,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
                 }
                 for method in method_labels
             },
-            "artifacts": sorted(str(p.relative_to(out)) for p in artifact_paths),
+            "artifacts": sorted(str(p.relative_to(out)) for p in stages.created[first_artifact:]),
         }
-        report_path = stages.track(out / "report.json")
-        with open(report_path, "w") as fh:
-            json.dump({**report, "timings": stages.timings}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        return report, report_path
-
-    report, report_path = stages.run("report", stage_report)
-    return RunResult(report=report, out_dir=out, artifacts=stages.created)
+        stages.write_json("report.json", {**report, "timings": stages.timings})
+    return RunResult(report=report, out_dir=out)

@@ -228,12 +228,14 @@ def assemble_composite(
     """Concatenate manifest crops into one signal plus its label spans.
 
     Relative clip paths resolve against `base_dir`.  All clips must share one
-    sample rate and every crop must lie inside its file.
+    sample rate and every crop must lie inside its file.  The composite is
+    allocated once the first clip gives the rate, and each crop is copied
+    into it, so only one decoded clip is alive at a time.
     """
     if not entries:
         raise ManifestError("manifest lists no clips")
     base = Path(base_dir) if base_dir is not None else Path(".")
-    pieces: list[np.ndarray] = []
+    samples: np.ndarray | None = None
     spans: list[LabelSpan] = []
     rate: int | None = None
     offset = 0
@@ -244,6 +246,11 @@ def assemble_composite(
         clip = load_audio(clip_path)
         if rate is None:
             rate = clip.sample_rate
+            total = sum(max(int(round(x.duration_s * rate)), 0) for x in entries)
+            try:
+                samples = np.empty(total)
+            except (MemoryError, ValueError) as exc:  # a duration far beyond any file
+                raise ManifestError(f"the crops total {total} samples; too many to hold") from exc
         elif clip.sample_rate != rate:
             raise ManifestError(
                 f"{e.path}: sample rate {clip.sample_rate} != {rate} of the first clip"
@@ -256,11 +263,12 @@ def assemble_composite(
             raise ManifestError(
                 f"{e.path}: crop [{e.start_s}s, +{e.duration_s}s) falls outside the file"
             )
-        pieces.append(clip.samples[start : start + length])
+        samples[offset : offset + length] = clip.samples[start : start + length]
+        del clip  # free this clip before the next one is decoded
         spans.append(LabelSpan(e.label, offset / rate, (offset + length) / rate))
         offset += length
-    assert rate is not None
-    return AudioSignal(samples=np.concatenate(pieces), sample_rate=rate), spans
+    assert rate is not None and samples is not None
+    return AudioSignal(samples=samples, sample_rate=rate), spans
 
 
 def _moving_mean(rows: np.ndarray, width: int) -> np.ndarray:

@@ -282,24 +282,19 @@ def spectral_cluster(
     embedding: SpectralEmbedding,
     k: int,
     cfg: KmeansConfig = KmeansConfig(),
-    columns: list[int] | None = None,
     row_normalize: bool = False,
 ) -> KmeansResult:
     """k-means over embedding coordinates.
 
-    Default columns are 1..k-1 (0-based), i.e. the eigenvectors of the 2nd
-    through k-th smallest eigenvalues; pass explicit `columns` to cluster on
-    a subset such as a single eigenvector.  Row normalization is off by
-    default; zero rows are left untouched when it is on.
+    Clusters on columns 1..k-1 (0-based), i.e. the eigenvectors of the 2nd
+    through k-th smallest eigenvalues.  Row normalization is off by default;
+    zero rows are left untouched when it is on.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    cols = list(range(1, k)) if columns is None else list(columns)
-    if not cols:
-        raise ValueError("at least one embedding column is required")
-    if min(cols) < 0 or max(cols) >= embedding.p:
-        raise ValueError(f"columns {cols} outside the embedding's 0..{embedding.p - 1}")
-    pts = embedding.eigenvectors[:, cols]
+    if k > embedding.p:
+        raise ValueError(f"k={k} needs columns 1..{k - 1}; the embedding has 0..{embedding.p - 1}")
+    pts = embedding.eigenvectors[:, list(range(1, k))]
     if row_normalize:
         norms = np.linalg.norm(pts, axis=1, keepdims=True)
         pts = np.divide(pts, norms, out=pts.copy(), where=norms > 0.0)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from unittest import mock
 
@@ -24,7 +22,6 @@ from passby.graph import (
     knn_graph_from_distances,
     laplacian,
     pairwise_cosine_distances,
-    write_graph_csv,
 )
 
 
@@ -259,24 +256,6 @@ def test_similarity_graph_rejects_asymmetry_and_isolation():
     w[0, 1] = w[1, 0] = 0.7
     with pytest.raises(IsolatedVertexError):
         SimilarityGraph(weights=w, scales=np.ones(3), neighbors=1)
-
-
-def test_graph_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    g = knn_graph(_random_features(rng, 15, 4), neighbors=3)
-    write_graph_csv(g, tmp_path / "g.csv", tmp_path / "g.json")
-    meta = json.loads((tmp_path / "g.json").read_text())
-    with open(tmp_path / "g.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["i", "j", "weight"]
-    W = np.zeros((meta["n"], meta["n"]))
-    for i_s, j_s, w_s in rows[1:]:
-        i, j = int(i_s), int(j_s)
-        assert i < j
-        W[i, j] = W[j, i] = float(w_s)
-    assert np.array_equal(W, g.weights.toarray())
-    assert np.array_equal(np.array(meta["scales"]), g.scales)
-    assert meta["neighbors"] == g.neighbors
 
 
 # ---------------------------------------------------------------- laplacian

@@ -342,8 +342,6 @@ def test_incres_config_validation():
         IncresConfig(k=2, iterations=0)
     with pytest.raises(ValueError):
         IncresConfig(k=2, seed_rate=0.0)
-    with pytest.raises(ValueError):
-        IncresConfig(k=2, grow_cap=0)
 
 
 def _vehicle_graph():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from scipy import sparse
 from scipy.io import wavfile
 
-from passby.cli import main
+from passby.cli import build_parser, main
 from passby.evaluate import align_labels, confusion, purity
 from passby.graph import ZeroNormError, knn_graph, laplacian
 from passby.incres import IncresConfig, incres_cluster
@@ -35,6 +36,8 @@ from passby.signal import (
     AudioSignal,
     ManifestEntry,
     WindowingConfig,
+    assemble_composite,
+    read_manifest,
     stft_features,
     write_manifest,
     write_wav,
@@ -130,6 +133,26 @@ def test_default_run_embedding_csv(default_run):
     assert lines[0].split(",")[:2] == ["window_index", "v1"]
     assert len(lines[0].split(",")) == 21
     assert len(lines) == 145
+
+
+def test_default_run_graph_csv_roundtrip(default_run):
+    # rebuild the graph from the run's own input and compare it with the files
+    out = default_run.out_dir
+    composite, _ = assemble_composite(read_manifest(out / "manifest.csv"), base_dir=out)
+    cfg = PipelineConfig()
+    g = knn_graph(stft_features(composite, cfg.windowing(), m=cfg.m).values, cfg.neighbors)
+    meta = json.loads((out / "graph.json").read_text())
+    with open(out / "graph.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["i", "j", "weight"]
+    W = np.zeros((meta["n"], meta["n"]))
+    for i_s, j_s, w_s in rows[1:]:
+        i, j = int(i_s), int(j_s)
+        assert i < j
+        W[i, j] = W[j, i] = float(w_s)
+    assert np.array_equal(W, g.weights.toarray())
+    assert np.array_equal(np.array(meta["scales"]), g.scales)
+    assert meta["neighbors"] == g.neighbors
 
 
 def test_default_run_confusion_files(default_run):
@@ -282,6 +305,21 @@ def test_failed_run_discards_partial_artifacts(tmp_path):
     assert not (out / "labels.csv").exists()
 
 
+def test_artifacts_failure_discards_everything_written(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+
+    def broken_plots(*args, **kwargs):
+        assert (out / "labels.csv").is_file() and (out / "graph.csv").is_file()
+        raise RuntimeError("plotting broke")
+
+    monkeypatch.setattr("passby.plots.emit_plots", broken_plots)
+    with pytest.raises(StageError) as excinfo:
+        run_pipeline(PipelineConfig(out_dir=str(out)))
+    assert excinfo.value.stage == "artifacts"
+    assert exit_code_for(excinfo.value) == EXIT_UNEXPECTED
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
 def test_interrupt_discards_artifacts_and_propagates(tmp_path, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
@@ -312,6 +350,11 @@ def test_cli_spectral_run(tmp_path, capsys):
         report = json.load(fh)
     assert report["primary_method"] == "spectral"
     assert report["k"]["requested"] == 3
+
+
+def test_cli_flags_are_config_fields():
+    dests = set(vars(build_parser().parse_args([]))) - {"config", "out"}
+    assert dests <= {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 def test_cli_missing_manifest_returns_config_code(tmp_path, capsys):

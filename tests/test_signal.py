@@ -217,6 +217,32 @@ def test_composite_crops_inside_files(tmp_path):
     assert spans[0].start_s == 0.0 and spans[0].end_s == pytest.approx(1.0)
 
 
+def test_composite_is_the_concatenated_crops(tmp_path):
+    rate = 8000
+    rng = np.random.default_rng(5)
+    clips = [rng.uniform(-0.5, 0.5, size=rate) for _ in range(3)]
+    crops = [(0.0, 1.0), (0.25, 0.5), (0.125, 0.75)]
+    entries = []
+    for i, (clip, (start, duration)) in enumerate(zip(clips, crops)):
+        write_wav(AudioSignal(clip, rate), tmp_path / f"c{i}.wav")
+        entries.append(ManifestEntry(f"c{i}.wav", str(i), start, duration))
+    composite, spans = assemble_composite(entries, base_dir=tmp_path)
+    expected = np.concatenate(
+        [load_audio(tmp_path / f"c{i}.wav").samples[int(s * rate) : int((s + d) * rate)]
+         for i, (s, d) in enumerate(crops)]
+    )
+    assert np.array_equal(composite.samples, expected)
+    assert [(sp.start_s, sp.end_s) for sp in spans] == [(0.0, 1.0), (1.0, 1.5), (1.5, 2.25)]
+
+
+def test_composite_duration_beyond_memory_is_manifest_error(tmp_path):
+    # the composite is allocated before the bad entry's own crop check runs
+    write_wav(AudioSignal(np.ones(100) * 0.1, 8000), tmp_path / "a.wav")
+    entries = [ManifestEntry("a.wav", "x", 0.0, 0.01), ManifestEntry("a.wav", "y", 0.0, 1e300)]
+    with pytest.raises(ManifestError, match="too many"):
+        assemble_composite(entries, base_dir=tmp_path)
+
+
 def test_composite_rate_mismatch(tmp_path):
     write_wav(AudioSignal(np.ones(100) * 0.1, 8000), tmp_path / "a.wav")
     write_wav(AudioSignal(np.ones(100) * 0.1, 16000), tmp_path / "b.wav")

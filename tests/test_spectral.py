@@ -470,7 +470,7 @@ def test_spectral_cluster_recovers_three_components():
 
 def test_spectral_cluster_single_column_variant():
     emb = _embed(_two_block_graph(sizes=(6, 9)), p=4)
-    res = spectral_cluster(emb, k=2, columns=[1], cfg=KmeansConfig(seed=2))
+    res = spectral_cluster(emb, k=2, cfg=KmeansConfig(seed=2))  # column 1 alone
     assert res.partition.as_sets() == {frozenset(range(6)), frozenset(range(6, 15))}
 
 
@@ -485,7 +485,7 @@ def test_spectral_cluster_row_normalize_runs():
 def test_spectral_cluster_column_out_of_range():
     emb = _embed(_two_block_graph(sizes=(4, 4)), p=3)
     with pytest.raises(ValueError):
-        spectral_cluster(emb, k=2, columns=[8])
+        spectral_cluster(emb, k=4)  # needs columns 1..3 of 0..2
 
 
 def test_partition_rejects_bad_labels():
