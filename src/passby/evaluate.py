@@ -12,7 +12,7 @@ import numpy.typing as npt
 from .signal import LabelSpan
 from .spectral import Partition
 
-ALIGN_LIMIT = 8  # alignment is exhaustive over permutations; fine for small k
+ALIGN_LIMIT = 8  # up to this many labels, alignment is exhaustive over permutations
 
 
 @dataclass(frozen=True)
@@ -64,35 +64,63 @@ def purity(cm: ConfusionMatrix) -> float:
 
 
 def align_labels(cm: ConfusionMatrix) -> tuple[int, ...]:
-    """Best one-to-one map cluster -> true class, exhaustive over permutations.
+    """Best one-to-one map cluster -> true class.
 
     Returns one true-class index per cluster (-1 for clusters left unmatched
     when there are more clusters than classes).  Ties keep the
-    lexicographically first assignment.
+    lexicographically first assignment.  Up to ALIGN_LIMIT labels the search
+    is exhaustive over permutations; above it, the assignment problem is
+    solved (see `_first_best_assignment`).
     """
     n_true, k = cm.counts.shape
-    if max(n_true, k) > ALIGN_LIMIT:
-        raise ValueError(f"exhaustive alignment supports at most {ALIGN_LIMIT} classes")
-    best_score = -1
-    best: tuple[int, ...] | None = None
-    if k <= n_true:
-        for perm in permutations(range(n_true), k):
-            score = sum(int(cm.counts[perm[c], c]) for c in range(k))
-            if score > best_score:
-                best_score = score
-                best = perm
-        assert best is not None
-        return tuple(best)
-    for perm in permutations(range(k), n_true):
-        score = sum(int(cm.counts[t, perm[t]]) for t in range(n_true))
-        if score > best_score:
-            best_score = score
-            best = perm
-    assert best is not None
+    if k <= n_true:  # a distinct class for each cluster
+        return _first_best_assignment(cm.counts.T)
+    best = _first_best_assignment(cm.counts)  # a distinct cluster for each class
     assignment = [-1] * k
     for t, c in enumerate(best):
         assignment[c] = t
     return tuple(assignment)
+
+
+def _first_best_assignment(scores: npt.NDArray[np.int64]) -> tuple[int, ...]:
+    """Lexicographically first injective row -> column map of maximal total score.
+
+    `scores` has no more rows than columns.  Up to ALIGN_LIMIT columns the
+    permutations are tried in lexicographic order.  Above it, each row in
+    turn takes the smallest column for which a `linear_sum_assignment`
+    re-solve of the remaining rows over the remaining columns still reaches
+    the optimum.
+    """
+    rows, cols = scores.shape
+    if cols <= ALIGN_LIMIT:
+        best_score = -1
+        best: tuple[int, ...] = ()
+        for perm in permutations(range(cols), rows):
+            score = sum(int(scores[r, perm[r]]) for r in range(rows))
+            if score > best_score:
+                best_score = score
+                best = perm
+        return best
+    from scipy.optimize import linear_sum_assignment  # only tables this large need it
+
+    def optimum(free_rows: list[int], free_cols: list[int]) -> int:
+        sub = scores[np.ix_(free_rows, free_cols)]
+        r, c = linear_sum_assignment(sub, maximize=True)
+        return int(sub[r, c].sum())
+
+    free = list(range(cols))
+    target = optimum(list(range(rows)), free)
+    chosen: list[int] = []
+    for r in range(rows):
+        rest = list(range(r + 1, rows))
+        for c in free:
+            others = [x for x in free if x != c]
+            if int(scores[r, c]) + optimum(rest, others) == target:
+                chosen.append(c)
+                target -= int(scores[r, c])
+                free = others
+                break
+    return tuple(chosen)
 
 
 def aligned_matches(cm: ConfusionMatrix) -> int:

@@ -265,6 +265,11 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
 
     with stages.stage("features"):
         features = stft_features(composite, cfg.windowing(), m=cfg.m)
+        # nothing after this stage reads the samples: draw their plot, keep
+        # the duration, and free the composite before the graph is built
+        waveform = plots.waveform_svg(composite.samples, composite.sample_rate)
+        duration_s = composite.duration_s
+        del composite
 
     with stages.stage("graph"):
         graph = knn_graph(features.values, neighbors=cfg.neighbors)
@@ -350,11 +355,10 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
         stages.write_csv(
             "embedding.csv",
             ["window_index"] + [f"v{j}" for j in range(1, embedding.p + 1)],
-            ([i] + [repr(float(v)) for v in row] for i, row in enumerate(embedding.eigenvectors)),
+            # csv writes a Python float as its repr, which round-trips exactly
+            ([i, *row] for i, row in enumerate(embedding.eigenvectors.tolist())),
         )
-        stages.write_csv(
-            "graph.csv", ["i", "j", "weight"], ((i, j, repr(w)) for i, j, w in graph.edge_list())
-        )
+        stages.write_csv("graph.csv", ["i", "j", "weight"], graph.edge_list())
         stages.write_json(
             "graph.json",
             {
@@ -376,7 +380,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
             )
         wave_path = stages.track(out / "plots" / "waveform.svg")
         wave_path.parent.mkdir(parents=True, exist_ok=True)
-        wave_path.write_text(plots.waveform_svg(composite.samples, composite.sample_rate))
+        wave_path.write_text(waveform)
         for path in plots.emit_plots(
             out,
             embedding.eigenvalues,
@@ -393,7 +397,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
             "n_windows": features.n_windows,
             "n_coefficients": features.n_coefficients,
             "sample_rate": features.sample_rate,
-            "duration_s": composite.duration_s,
+            "duration_s": duration_s,
             "k": {
                 "requested": cfg.k,
                 "k_max": cfg.k_max,

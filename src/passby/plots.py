@@ -69,10 +69,11 @@ def embedding_svg(matrix: np.ndarray) -> str:
     n, p = M.shape
     lo, hi = float(M.min()), float(M.max())
     xs = _scale(np.arange(n, dtype=float), 0.0, float(max(1, n - 1)), MARGIN + 6, WIDTH - MARGIN - 6)
+    xs = xs.tolist()
     body = _axes("window index", "coordinate")
     for j in range(p):
         ys = _scale(M[:, j], lo, hi, HEIGHT - MARGIN - 10, MARGIN + 10)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys.tolist()))
         color = PALETTE[j % len(PALETTE)]
         body += f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
     return _svg(body)
@@ -81,35 +82,32 @@ def embedding_svg(matrix: np.ndarray) -> str:
 def heatmap_svg(weights: np.ndarray | sparse.sparray) -> str:
     """Grayscale matrix picture: value 1 paints white, value 0 paints black.
 
-    Each run of equal grey within a row is painted as one rect.  The runs
-    are found from the stored entries of each CSR row, in O(nnz): a run can
-    only start at column 0, at a stored entry, or right after one.  A dense
-    matrix is converted once.
+    The picture has at most one cell per pixel: with n > 612 vertices, vertex
+    i falls in bin i*b//n of b = 612 bins per axis, and each cell paints the
+    largest grey in its bin, so no edge vanishes.  With n <= 612 every bin
+    holds one vertex.  Each run of equal grey within a row of cells is
+    painted as one rect.  A dense matrix is converted to CSR once.
     """
     W = sparse.csr_array(weights, dtype=np.float64)
     W.sum_duplicates()
     n = W.shape[0]
     side = WIDTH - 2 * MARGIN
-    cell = side / n
-    # flat positions i * n + j of the stored entries, ascending, then a sentinel
-    row_starts = np.arange(n, dtype=np.int64) * n
-    flat = np.append(np.repeat(row_starts, np.diff(W.indptr)) + W.indices, n * n)
-    flat_grey = np.append(np.clip(np.rint(W.data * 255.0), 0, 255).astype(int), 0)
-
-    def grey_at(positions: np.ndarray) -> np.ndarray:
-        at = np.searchsorted(flat, positions)
-        return np.where(flat[at] == positions, flat_grey[at], 0)
-
-    candidates = np.unique(np.concatenate([row_starts, flat[:-1], flat[:-1] + 1]))
-    candidates = candidates[candidates < n * n]
-    grey = grey_at(candidates)
-    opens = (candidates % n == 0) | (grey != grey_at(candidates - 1))
-    starts = candidates[opens]
-    rows, cols = np.divmod(starts, n)
+    b = min(n, side)
+    cell = side / b
+    bins = np.arange(n, dtype=np.int64) * b // n
+    grid = np.zeros((b, b), dtype=np.int64)
+    np.maximum.at(
+        grid,
+        (np.repeat(bins, np.diff(W.indptr)), bins[W.indices]),
+        np.clip(np.rint(W.data * 255.0), 0, 255).astype(np.int64),
+    )
+    opens = np.ones((b, b), dtype=bool)
+    opens[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    rows, cols = np.nonzero(opens)
     # every row opens with a run, so a run ends where the next one starts
-    lengths = np.diff(starts, append=n * n)
-    offsets = [f"{MARGIN + j * cell:.2f}" for j in range(n)]
-    widths = [f"{run * cell + 0.35:.2f}" for run in range(n + 1)]
+    lengths = np.diff(rows * b + cols, append=b * b)
+    offsets = [f"{MARGIN + j * cell:.2f}" for j in range(b)]
+    widths = [f"{run * cell + 0.35:.2f}" for run in range(b + 1)]
     height = f"{cell + 0.35:.2f}"
     fills = [f"rgb({g},{g},{g})" for g in range(256)]
     body = "".join(
@@ -117,7 +115,7 @@ def heatmap_svg(weights: np.ndarray | sparse.sparray) -> str:
             f'<rect x="{offsets[j]}" y="{offsets[i]}" width="{widths[run]}" height="{height}" '
             f'fill="{fills[g]}"/>\n'
             for i, j, run, g in zip(
-                rows.tolist(), cols.tolist(), lengths.tolist(), grey[opens].tolist()
+                rows.tolist(), cols.tolist(), lengths.tolist(), grid[opens].tolist()
             )
         ]
     )
@@ -126,24 +124,22 @@ def heatmap_svg(weights: np.ndarray | sparse.sparray) -> str:
 
 def timeline_svg(clusters: np.ndarray, truth: list[str]) -> str:
     """Two bands over the window index: true classes on top, clusters below."""
-    labels = np.asarray(clusters, dtype=np.int64)
-    n = labels.size
-    names: list[str] = []
+    labels = np.asarray(clusters, dtype=np.int64).tolist()
+    n = len(labels)
+    colors: dict[str, str] = {}
     for name in truth:
-        if name not in names:
-            names.append(name)
-    xs = _scale(np.arange(n + 1, dtype=float), 0.0, float(n), MARGIN, WIDTH - MARGIN)
+        colors.setdefault(name, PALETTE[len(colors) % len(PALETTE)])
+    xs = _scale(np.arange(n + 1, dtype=float), 0.0, float(n), MARGIN, WIDTH - MARGIN).tolist()
     body = _axes("window index", "")
     body += f'<text x="{MARGIN}" y="{MARGIN - 10}" font-size="13">top: true class, bottom: cluster</text>\n'
     band_h = (HEIGHT - 2 * MARGIN - 30) / 2
     for i in range(n):
         w = xs[i + 1] - xs[i]
-        ct = PALETTE[names.index(truth[i]) % len(PALETTE)]
         body += (
             f'<rect x="{xs[i]:.2f}" y="{MARGIN:.2f}" width="{w + 0.2:.2f}" '
-            f'height="{band_h:.2f}" fill="{ct}"/>\n'
+            f'height="{band_h:.2f}" fill="{colors[truth[i]]}"/>\n'
         )
-        cc = PALETTE[int(labels[i]) % len(PALETTE)]
+        cc = PALETTE[labels[i] % len(PALETTE)]
         body += (
             f'<rect x="{xs[i]:.2f}" y="{MARGIN + band_h + 30:.2f}" width="{w + 0.2:.2f}" '
             f'height="{band_h:.2f}" fill="{cc}"/>\n'
@@ -155,14 +151,19 @@ def waveform_svg(samples: np.ndarray, sample_rate: int, columns: int = 600) -> s
     """Min/max envelope of the signal as one filled polygon."""
     x = np.asarray(samples, dtype=np.float64)
     edges = np.linspace(0, x.size, columns + 1).astype(int)
-    highs = np.array([x[a:b].max() if b > a else 0.0 for a, b in zip(edges[:-1], edges[1:])])
-    lows = np.array([x[a:b].min() if b > a else 0.0 for a, b in zip(edges[:-1], edges[1:])])
+    # the non-empty columns tile the samples, so each ends where the next starts
+    filled = edges[1:] > edges[:-1]
+    highs = np.zeros(columns)
+    lows = np.zeros(columns)
+    highs[filled] = np.maximum.reduceat(x, edges[:-1][filled])
+    lows[filled] = np.minimum.reduceat(x, edges[:-1][filled])
     peak = float(max(abs(highs).max(), abs(lows).max(), 1e-12))
     xs = _scale(np.arange(columns, dtype=float), 0.0, float(columns - 1), MARGIN, WIDTH - MARGIN)
     mid = HEIGHT / 2
     half = (HEIGHT - 2 * MARGIN) / 2
-    upper = mid - highs / peak * half
-    lower = mid - lows / peak * half
+    upper = (mid - highs / peak * half).tolist()
+    lower = (mid - lows / peak * half).tolist()
+    xs = xs.tolist()
     pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs, upper))
     pts += " " + " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs[::-1], lower[::-1]))
     body = _axes("time", "amplitude")

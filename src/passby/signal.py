@@ -132,10 +132,9 @@ class LabelSpan:
     end_s: float
 
 
-def load_audio(path: str | Path) -> AudioSignal:
-    """Decode a WAV file to mono float64.
+def _read_wav(path: str | Path) -> tuple[int, np.ndarray]:
+    """Read a WAV file's rate and raw samples, rejecting what cannot become audio.
 
-    Integer PCM is scaled by 1/2^(bits-1); two channels are averaged to one.
     Unreadable files, unsupported encodings, and zero-length audio raise
     distinct exception types; non-finite float samples raise AudioIOError.
     """
@@ -149,26 +148,44 @@ def load_audio(path: str | Path) -> AudioSignal:
         raise AudioIOError(f"cannot read {path}: {exc}") from exc
     if data.size == 0:
         raise EmptyAudioError(f"{path}: file contains no samples")
-    if data.ndim == 2:
-        if data.shape[1] > 2:
-            raise UnsupportedEncodingError(f"{path}: {data.shape[1]} channels; expected 1 or 2")
-        x = data.astype(np.float64).mean(axis=1)
+    if data.ndim == 2 and data.shape[1] > 2:
+        raise UnsupportedEncodingError(f"{path}: {data.shape[1]} channels; expected 1 or 2")
+    if data.dtype == np.float32:
+        if not np.isfinite(data).all():
+            raise AudioIOError(f"{path}: non-finite (NaN or inf) samples")
+    elif data.dtype not in (np.uint8, np.int16, np.int32):
+        raise UnsupportedEncodingError(f"{path}: sample format {data.dtype} not supported")
+    return int(rate), data
+
+
+def _to_float(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Raw samples from `_read_wav` as mono float64, written into `out` if given.
+
+    Integer PCM is scaled by 1/2^(bits-1); two channels are averaged to one.
+    """
+    if out is None:
+        out = np.empty(raw.shape[0])
+    if raw.ndim == 2:
+        np.sum(raw, axis=1, dtype=np.float64, out=out)
+        out /= raw.shape[1]
     else:
-        x = data.astype(np.float64)
-    if data.dtype == np.uint8:
-        x = (x - 128.0) / 128.0
-    elif data.dtype == np.int16:
-        x = x / 2.0**15
-    elif data.dtype == np.int32:
+        out[...] = raw
+    if raw.dtype == np.uint8:
+        out -= 128.0
+        out /= 128.0
+    elif raw.dtype == np.int16:
+        out /= 2.0**15
+    elif raw.dtype == np.int32:
         # 24-bit PCM arrives widened into the top bytes of int32, so one
         # scale realizes v/2^23 for 24-bit data and v/2^31 for true 32-bit.
-        x = x / 2.0**31
-    elif data.dtype == np.float32:
-        if not np.isfinite(x).all():
-            raise AudioIOError(f"{path}: non-finite (NaN or inf) samples")
-    else:
-        raise UnsupportedEncodingError(f"{path}: sample format {data.dtype} not supported")
-    return AudioSignal(samples=x, sample_rate=int(rate))
+        out /= 2.0**31
+    return out
+
+
+def load_audio(path: str | Path) -> AudioSignal:
+    """Decode a WAV file to mono float64 (see `_read_wav` and `_to_float`)."""
+    rate, raw = _read_wav(path)
+    return AudioSignal(samples=_to_float(raw), sample_rate=rate)
 
 
 def write_wav(signal: AudioSignal, path: str | Path, encoding: str = "float32") -> None:
@@ -229,8 +246,9 @@ def assemble_composite(
 
     Relative clip paths resolve against `base_dir`.  All clips must share one
     sample rate and every crop must lie inside its file.  The composite is
-    allocated once the first clip gives the rate, and each crop is copied
-    into it, so only one decoded clip is alive at a time.
+    allocated once the first clip gives the rate, and each crop is decoded
+    straight into its place there.  A file is read once for a run of entries
+    that name it, and only one raw clip is alive at a time.
     """
     if not entries:
         raise ManifestError("manifest lists no clips")
@@ -238,33 +256,34 @@ def assemble_composite(
     samples: np.ndarray | None = None
     spans: list[LabelSpan] = []
     rate: int | None = None
+    raw_path: Path | None = None
     offset = 0
     for e in entries:
         clip_path = Path(e.path)
         if not clip_path.is_absolute():
             clip_path = base / clip_path
-        clip = load_audio(clip_path)
+        if clip_path != raw_path:
+            raw = None  # free the last file before the next one is read
+            clip_rate, raw = _read_wav(clip_path)
+            raw_path = clip_path
         if rate is None:
-            rate = clip.sample_rate
+            rate = clip_rate
             total = sum(max(int(round(x.duration_s * rate)), 0) for x in entries)
             try:
                 samples = np.empty(total)
             except (MemoryError, ValueError) as exc:  # a duration far beyond any file
                 raise ManifestError(f"the crops total {total} samples; too many to hold") from exc
-        elif clip.sample_rate != rate:
-            raise ManifestError(
-                f"{e.path}: sample rate {clip.sample_rate} != {rate} of the first clip"
-            )
+        elif clip_rate != rate:
+            raise ManifestError(f"{e.path}: sample rate {clip_rate} != {rate} of the first clip")
         start = int(round(e.start_s * rate))
         length = int(round(e.duration_s * rate))
         if length < 1:
             raise ManifestError(f"{e.path}: crop duration {e.duration_s} leaves no samples")
-        if start < 0 or start + length > clip.samples.size:
+        if start < 0 or start + length > raw.shape[0]:
             raise ManifestError(
                 f"{e.path}: crop [{e.start_s}s, +{e.duration_s}s) falls outside the file"
             )
-        samples[offset : offset + length] = clip.samples[start : start + length]
-        del clip  # free this clip before the next one is decoded
+        _to_float(raw[start : start + length], out=samples[offset : offset + length])
         spans.append(LabelSpan(e.label, offset / rate, (offset + length) / rate))
         offset += length
     assert rate is not None and samples is not None

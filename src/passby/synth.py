@@ -174,20 +174,19 @@ def gen_vehicle_audio(
     if n < 1:
         raise ValueError("clip_s leaves no samples")
     t = np.arange(n) / sample_rate
-    clips = []
+    samples = np.zeros(n * len(passages))
     spans = []
     for idx, v in enumerate(passages):
         spec = specs[v]
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(rng_seed, spec.rng_seed, idx))
         )
-        x = np.zeros(n)
+        x = samples[idx * n : (idx + 1) * n]  # each clip is built in its place
         for h, amp in enumerate(spec.harmonic_amps, start=1):
             wobble = 1.0 + spec.amp_jitter * rng.standard_normal()
             phase = rng.uniform(0.0, 2.0 * np.pi)
             x += amp * wobble * np.sin(2.0 * np.pi * spec.fundamental_hz * h * t + phase)
         x *= spec.envelope.at(t, clip_s)
         x += spec.broadband_level * rng.standard_normal(n)
-        clips.append(x)
         spans.append(LabelSpan(spec.name, idx * clip_s, (idx + 1) * clip_s))
-    return AudioSignal(samples=np.concatenate(clips), sample_rate=sample_rate), spans
+    return AudioSignal(samples=samples, sample_rate=sample_rate), spans

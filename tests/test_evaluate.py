@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+from passby import evaluate
 from passby.evaluate import (
     ConfusionMatrix,
     align_labels,
@@ -132,9 +133,46 @@ def test_align_more_classes_than_clusters():
     assert aligned_matches(cm) == 22
 
 
-def test_align_rejects_large_tables():
-    with pytest.raises(ValueError):
-        align_labels(_cm(np.eye(9, dtype=int).tolist()))
+def _align_by_brute_force(counts):
+    """Lexicographically first best alignment over every injective map (oracle)."""
+    counts = np.asarray(counts)
+    n_true, k = counts.shape
+    if k <= n_true:
+        maps = permutations(range(n_true), k)
+        return min(maps, key=lambda m: (-sum(counts[m[c], c] for c in range(k)), m))
+    best = min(
+        permutations(range(k), n_true),
+        key=lambda m: (-sum(counts[t, m[t]] for t in range(n_true)), m),
+    )
+    assignment = [-1] * k
+    for t, c in enumerate(best):
+        assignment[c] = t
+    return tuple(assignment)
+
+
+def test_align_large_tables_by_assignment():
+    # above the exhaustive limit the assignment solver aligns, with the same ties
+    assert align_labels(_cm(np.eye(9, dtype=int).tolist())) == tuple(range(9))
+    assert align_labels(_cm(np.ones((9, 9), dtype=int).tolist())) == tuple(range(9))
+    perm = np.random.default_rng(5).permutation(12)
+    counts = np.zeros((12, 12), dtype=int)
+    counts[perm, np.arange(12)] = 7
+    assert align_labels(_cm(counts.tolist())) == tuple(perm.tolist())
+    rng = np.random.default_rng(6)
+    for shape in ((3, 10), (10, 3), (2, 9)):
+        counts = rng.integers(0, 3, size=shape)
+        assert align_labels(_cm(counts.tolist())) == _align_by_brute_force(counts)
+
+
+def test_align_forced_assignment_matches_brute_force(monkeypatch):
+    # with the exhaustive limit at 0 every table takes the assignment path
+    rng = np.random.default_rng(7)
+    tables = [rng.integers(0, 3, size=rng.integers(1, 7, size=2)) for _ in range(150)]
+    tables += [np.zeros((2, 3), dtype=int), np.ones((4, 4), dtype=int)]
+    expected = [_align_by_brute_force(t) for t in tables]
+    assert [align_labels(_cm(t.tolist())) for t in tables] == expected
+    monkeypatch.setattr(evaluate, "ALIGN_LIMIT", 0)
+    assert [align_labels(_cm(t.tolist())) for t in tables] == expected
 
 
 def test_aligned_matches_total_iff_exact():

@@ -23,6 +23,7 @@ from passby.graph import (
     laplacian,
     pairwise_cosine_distances,
 )
+from passby.spectral import RESIDUAL_TOL, eigendecompose
 
 
 def _random_features(rng, n, d):
@@ -322,6 +323,44 @@ def test_laplacian_zero_multiplicity_counts_components():
     vals = np.linalg.eigvalsh(laplacian(_graph_from_weights(w)).matrix.toarray())
     assert abs(vals[0]) < 1e-12 and abs(vals[1]) < 1e-12
     assert vals[2] > 0.1
+
+
+@st.composite
+def weighted_graphs(draw, max_n=24):
+    """Symmetric weights on a few levels; a vertex left without an edge gets one to its successor."""
+    n = draw(st.integers(2, max_n))
+    levels = st.sampled_from([0.0, 0.0, 1e-6, 0.25, 0.5, 1.0, 3.0])
+    pairs = n * (n - 1) // 2
+    W = np.zeros((n, n))
+    W[np.triu_indices(n, k=1)] = draw(st.lists(levels, min_size=pairs, max_size=pairs))
+    W = W + W.T
+    for i in np.flatnonzero(W.sum(axis=1) == 0.0):
+        j = (i + 1) % n
+        W[i, j] = W[j, i] = 1.0
+    return _graph_from_weights(W)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_graphs(), st.data())
+def test_laplacian_is_psd_with_bounded_residuals(graph, data):
+    lap = laplacian(graph)
+    L = lap.matrix.toarray()
+    n = L.shape[0]
+    # x'Lx is half the weighted sum of squared differences of x / sqrt(degree)
+    W = graph.weights.toarray()
+    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    y = x / np.sqrt(lap.degrees)
+    form = 0.5 * np.sum(W * (y[:, None] - y[None, :]) ** 2)
+    assert x @ L @ x == pytest.approx(form, rel=1e-9, abs=1e-12)
+    vals = np.linalg.eigvalsh(L)
+    assert vals.min() > -1e-10 and vals.max() < 2.0 + 1e-10
+    p = data.draw(st.integers(1, n))
+    emb = eigendecompose(lap, p)
+    assert np.all(emb.eigenvalues > -1e-10) and np.all(emb.eigenvalues < 2.0 + 1e-10)
+    assert emb.eigenvalues == pytest.approx(vals[:p], abs=1e-9)
+    residuals = np.linalg.norm(L @ emb.eigenvectors - emb.eigenvectors * emb.eigenvalues, axis=0)
+    assert residuals.max() < RESIDUAL_TOL
+    assert np.allclose(emb.eigenvectors.T @ emb.eigenvectors, np.eye(p), atol=1e-9)
 
 
 def test_laplacian_rejects_asymmetric_matrix():

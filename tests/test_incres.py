@@ -200,6 +200,36 @@ def test_grow_conserves_column_mass():
         assert drift.max() < 1e-9
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grow_and_limit_conserve_planted_mass(data):
+    # a column-stochastic walk moves mass but never makes or loses it
+    n = data.draw(st.integers(2, 20))
+    vertex = st.integers(0, n - 1)
+    W = np.zeros((n, n))
+    edge = st.tuples(vertex, vertex, st.sampled_from([0.1, 0.5, 1.0]))
+    for i, j, w in data.draw(st.lists(edge, max_size=3 * n)):
+        if i != j:
+            W[i, j] = W[j, i] = w
+    for i in np.flatnonzero(W.sum(axis=1) == 0.0):
+        W[i, (i + 1) % n] = W[(i + 1) % n, i] = 1.0
+    graph = SimilarityGraph(weights=W, scales=np.ones(n), neighbors=1)
+    k = data.draw(st.integers(2, 4))
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    planted = plant(Partition(labels=labels, k=k), data.draw(st.integers(1, 3)), rng)
+    before = planted.sum(axis=0)
+    mass, steps, capped = grow(planted, transition_matrix(graph), data.draw(st.integers(1, 3 * n)))
+    assert np.all(mass >= 0.0)
+    assert mass.sum(axis=0) == pytest.approx(before, rel=1e-12)
+    assert capped or (mass > 0.0).any(axis=1).all()
+    component = component_labels(graph.weights)
+    limit = stationary_limit(planted, component, graph.degrees())
+    for c in range(component.max() + 1):
+        on = component == c
+        assert limit[on].sum(axis=0) == pytest.approx(planted[on].sum(axis=0), rel=1e-12)
+
+
 def test_grow_cap_cuts_disconnected_diffusion():
     g = _two_triangles()
     mass = np.zeros((6, 1))

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,29 @@ def test_artifacts_failure_discards_everything_written(tmp_path, monkeypatch):
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
+def test_composite_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):
+    # after the features stage nothing reads the samples
+    from passby import pipeline
+
+    samples = []
+    assemble, build = pipeline.assemble_composite, pipeline.knn_graph
+
+    def tracked_assemble(*args, **kwargs):
+        composite, spans = assemble(*args, **kwargs)
+        samples.append(weakref.ref(composite.samples))
+        return composite, spans
+
+    def checked_build(*args, **kwargs):
+        assert samples and samples[0]() is None
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "assemble_composite", tracked_assemble)
+    monkeypatch.setattr(pipeline, "knn_graph", checked_build)
+    result = run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3))
+    assert result.report["duration_s"] == 18.0
+    assert (tmp_path / "out" / "plots" / "waveform.svg").is_file()
+
+
 def test_interrupt_discards_artifacts_and_propagates(tmp_path, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
@@ -350,6 +374,18 @@ def test_cli_spectral_run(tmp_path, capsys):
         report = json.load(fh)
     assert report["primary_method"] == "spectral"
     assert report["k"]["requested"] == 3
+
+
+def test_cli_more_than_eight_clusters(tmp_path, capsys):
+    # label alignment above 8 labels takes the assignment solver, not a late failure
+    out = tmp_path / "k9"
+    code = main(["--out", str(out), "--method", "spectral", "--k", "9"])
+    assert code == 0, capsys.readouterr().err
+    with open(out / "report.json") as fh:
+        report = json.load(fh)
+    alignment = report["methods"]["spectral"]["alignment"]
+    assert len(alignment) == 9
+    assert sorted(a for a in alignment if a >= 0) == [0, 1, 2]
 
 
 def test_cli_flags_are_config_fields():
@@ -487,6 +523,39 @@ def test_heatmap_of_csr_matches_loop_reference():
     assert heatmap_svg(g.weights) == _heatmap_by_loop(g.weights.toarray())
 
 
+def _max_pooled(weights, bins):
+    """Dense b x b matrix of each bin pair's largest weight, one vertex at a time (reference)."""
+    W = np.asarray(weights, dtype=np.float64)
+    n = W.shape[0]
+    bin_of = [i * bins // n for i in range(n)]
+    rows = np.zeros((bins, n))
+    for i in range(n):
+        rows[bin_of[i]] = np.maximum(rows[bin_of[i]], W[i])
+    pooled = np.zeros((bins, bins))
+    for j in range(n):
+        pooled[:, bin_of[j]] = np.maximum(pooled[:, bin_of[j]], rows[:, j])
+    return pooled
+
+
+def test_heatmap_pools_large_graphs_to_one_cell_per_pixel():
+    rng = np.random.default_rng(5)
+    for n, density in ((613, 0.01), (1500, 0.002)):
+        W = sparse.random_array((n, n), density=density, rng=rng, format="csr")
+        W.data = rng.choice([1e-4, 0.3, 0.6, 1.0], size=W.nnz)
+        W = W.maximum(W.T)
+        assert heatmap_svg(W) == _heatmap_by_loop(_max_pooled(W.toarray(), 612))
+
+
+def test_heatmap_keeps_a_lone_edge_visible():
+    n = 5000
+    W = sparse.coo_array(([1.0, 1.0], ([1234, 4321], [4321, 1234])), shape=(n, n)).tocsr()
+    svg = heatmap_svg(W)
+    assert svg.count("<rect") == 1 + 612 + 2 * 2  # two rows of the 612 hold three runs
+    # one-pixel cells: the edge lands in bins 4321*612//5000 = 528 and 1234*612//5000 = 151
+    assert '<rect x="582.00" y="205.00" width="1.35" height="1.35" fill="rgb(255,255,255)"/>' in svg
+    assert '<rect x="205.00" y="582.00" width="1.35" height="1.35" fill="rgb(255,255,255)"/>' in svg
+
+
 def test_timeline_uses_distinct_band_colors():
     svg = timeline_svg(np.array([0, 0, 1, 1]), ["a", "a", "b", "b"])
     assert svg.count("<rect") == 1 + 8  # background plus two bands of four
@@ -498,6 +567,34 @@ def test_waveform_svg_shape():
     svg = waveform_svg(rng.normal(size=48000), 48000)
     assert svg.count("<polygon") == 1
     assert 'fill="white"' in svg
+
+
+def _waveform_by_loop(samples, sample_rate, columns=600):
+    """Envelope polygon with each column's extremes taken by a slice loop (reference)."""
+    from passby.plots import HEIGHT, MARGIN, WIDTH, _axes, _scale, _svg
+
+    x = np.asarray(samples, dtype=np.float64)
+    edges = np.linspace(0, x.size, columns + 1).astype(int)
+    highs = np.array([x[a:b].max() if b > a else 0.0 for a, b in zip(edges[:-1], edges[1:])])
+    lows = np.array([x[a:b].min() if b > a else 0.0 for a, b in zip(edges[:-1], edges[1:])])
+    peak = float(max(abs(highs).max(), abs(lows).max(), 1e-12))
+    xs = _scale(np.arange(columns, dtype=float), 0.0, float(columns - 1), MARGIN, WIDTH - MARGIN)
+    mid = HEIGHT / 2
+    half = (HEIGHT - 2 * MARGIN) / 2
+    upper = mid - highs / peak * half
+    lower = mid - lows / peak * half
+    pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs, upper))
+    pts += " " + " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs[::-1], lower[::-1]))
+    body = _axes("time", "amplitude") + f'<polygon points="{pts}" fill="#4477aa" stroke="none"/>\n'
+    return _svg(body)
+
+
+def test_waveform_envelope_matches_loop_reference():
+    rng = np.random.default_rng(2)
+    for size in (1, 599, 600, 601, 10_000):
+        samples = rng.normal(size=size) * rng.uniform(0.1, 2.0)
+        assert waveform_svg(samples, 8000) == _waveform_by_loop(samples, 8000)
+    assert waveform_svg(np.zeros(50), 8000) == _waveform_by_loop(np.zeros(50), 8000)
 
 
 def test_svgs_are_deterministic(default_run, tmp_path):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import struct
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import passby.signal as signal_module
 from passby.signal import (
     AudioIOError,
     AudioSignal,
@@ -261,6 +264,124 @@ def test_composite_crop_out_of_range(tmp_path):
 def test_composite_empty_manifest():
     with pytest.raises(ManifestError):
         assemble_composite([])
+
+
+def _decode_whole_file(data):
+    """A float64 decode of the whole raw array, expression by expression (reference)."""
+    x = data.astype(np.float64).mean(axis=1) if data.ndim == 2 else data.astype(np.float64)
+    if data.dtype == np.uint8:
+        x = (x - 128.0) / 128.0
+    elif data.dtype == np.int16:
+        x = x / 2.0**15
+    elif data.dtype == np.int32:
+        x = x / 2.0**31
+    return x
+
+
+def test_composite_decodes_every_format_bit_identically(tmp_path):
+    rate, frames = 8000, 4000
+    rng = np.random.default_rng(11)
+    raws = {
+        "u8": rng.integers(0, 256, size=frames).astype(np.uint8),
+        "i16": rng.integers(-(2**15), 2**15, size=frames).astype(np.int16),
+        "i32": rng.integers(-(2**31), 2**31, size=frames).astype(np.int32),
+        # magnitudes far apart, so a stereo sum rounds in float64
+        "f32": (rng.standard_normal(frames) * 10.0 ** rng.integers(-20, 20, size=frames)).astype(
+            np.float32
+        ),
+    }
+    raws.update({f"{name}-stereo": np.stack([raw, raw[::-1]], axis=1) for name, raw in raws.items()})
+    for name, raw in raws.items():
+        wavfile.write(tmp_path / f"{name}.wav", rate, raw)
+    _write_pcm24(tmp_path / "i24.wav", rate, rng.integers(-(2**23), 2**23, size=frames).tolist())
+    names = [*raws, "i24"]
+    entries, expected = [], []
+    for i, name in enumerate(names):
+        path = tmp_path / f"{name}.wav"
+        reference = _decode_whole_file(wavfile.read(path)[1])
+        assert load_audio(path).samples.tobytes() == reference.tobytes()
+        for start, length in ((0, 800), (17 + 100 * i, 1203), (frames - 400, 400)):
+            entries.append(ManifestEntry(f"{name}.wav", name, start / rate, length / rate))
+            expected.append(load_audio(path).samples[start : start + length].copy())
+    composite, _ = assemble_composite(entries, base_dir=tmp_path)
+    assert composite.samples.tobytes() == np.concatenate(expected).tobytes()
+
+
+def _bad_wav(tmp_path, kind):
+    path = tmp_path / f"{kind}.wav"
+    if kind == "garbage":
+        path.write_bytes(b"this is not audio at all, not even close")
+    elif kind == "float64":
+        wavfile.write(path, 8000, np.full(100, 0.1))
+    elif kind == "three-channels":
+        wavfile.write(path, 8000, np.zeros((100, 3), dtype=np.int16))
+    elif kind == "empty":
+        wavfile.write(path, 8000, np.array([], dtype=np.int16))
+    elif kind == "nan-outside-crop":
+        x = np.full(100, 0.1, dtype=np.float32)
+        x[90] = np.nan
+        wavfile.write(path, 8000, x)
+    elif kind == "stereo-inf":
+        x = np.full((100, 2), 0.1, dtype=np.float32)
+        x[5, 1] = np.inf
+        wavfile.write(path, 8000, x)
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind", ["missing", "garbage", "float64", "three-channels", "empty", "nan-outside-crop", "stereo-inf"]
+)
+def test_composite_raises_what_load_audio_raises(tmp_path, kind):
+    # the composite decodes crops only, yet every whole-file check still runs
+    path = _bad_wav(tmp_path, kind)
+    with pytest.raises(AudioIOError) as from_load:
+        load_audio(path)
+    with pytest.raises(AudioIOError) as from_composite:
+        assemble_composite([ManifestEntry(path.name, "x", 0.0, 0.001)], base_dir=tmp_path)
+    assert type(from_composite.value) is type(from_load.value)
+    assert str(from_composite.value) == str(from_load.value)
+
+
+def test_composite_crop_checks_on_a_shared_file(tmp_path):
+    write_wav(AudioSignal(np.ones(100) * 0.1, 8000), tmp_path / "a.wav")
+    write_wav(AudioSignal(np.ones(100) * 0.1, 16000), tmp_path / "b.wav")
+    ok = ManifestEntry("a.wav", "x", 0.0, 0.005)
+    for bad, match in (
+        (ManifestEntry("a.wav", "y", 0.0, 0.00001), "leaves no samples"),
+        (ManifestEntry("a.wav", "y", -0.001, 0.005), "outside"),
+        (ManifestEntry("a.wav", "y", 0.01, 0.005), "outside"),
+        (ManifestEntry("b.wav", "y", 0.0, 0.005), "sample rate"),
+    ):
+        with pytest.raises(ManifestError, match=match):
+            assemble_composite([ok, ok, bad], base_dir=tmp_path)
+
+
+def test_composite_reads_a_shared_file_once_per_run(tmp_path, monkeypatch):
+    rate = 8000
+    rng = np.random.default_rng(12)
+    for name in ("a", "b"):
+        write_wav(AudioSignal(rng.uniform(-0.5, 0.5, size=rate), rate), tmp_path / f"{name}.wav")
+    reads, alive = [], []
+    read_wav = signal_module._read_wav
+
+    def tracked(path):
+        assert all(ref() is None for ref in alive)  # one raw clip at a time
+        rate, raw = read_wav(path)
+        reads.append(Path(path).name)
+        alive.append(weakref.ref(raw))
+        return rate, raw
+
+    monkeypatch.setattr(signal_module, "_read_wav", tracked)
+    crops = [("a", 0.0, 0.25), ("a", 0.5, 0.25), ("b", 0.125, 0.5), ("b", 0.0, 0.125), ("a", 0.25, 0.5)]
+    entries = [ManifestEntry(f"{name}.wav", name, start, length) for name, start, length in crops]
+    composite, _ = assemble_composite(entries, base_dir=tmp_path)
+    assert reads == ["a.wav", "b.wav", "a.wav"]
+    monkeypatch.undo()
+    expected = [
+        load_audio(tmp_path / f"{name}.wav").samples[int(start * rate) : int((start + length) * rate)]
+        for name, start, length in crops
+    ]
+    assert np.array_equal(composite.samples, np.concatenate(expected))
 
 
 # ------------------------------------------------------------ stft features
