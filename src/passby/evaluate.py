@@ -123,12 +123,6 @@ def _first_best_assignment(scores: npt.NDArray[np.int64]) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def aligned_matches(cm: ConfusionMatrix) -> int:
-    """Points matched by the best alignment; equals total iff partitions agree exactly."""
-    assignment = align_labels(cm)
-    return sum(int(cm.counts[t, c]) for c, t in enumerate(assignment) if t >= 0)
-
-
 def rand_index(labels_a: npt.ArrayLike, labels_b: npt.ArrayLike) -> float:
     """Fraction of point pairs on which two labelings agree (together vs apart)."""
     a = np.asarray(labels_a)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import time
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -111,27 +113,39 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # a JSON config may hold any type; coerce the numbers before comparing them
+        if not isinstance(self.out_dir, str) or not isinstance(self.manifest, (str, type(None))):
+            raise ConfigError("manifest and out_dir must be strings")
+        for name in ("window_len", "m", "neighbors", "k_max", "iterations", "restarts", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.smoothing_len is not None:
+            object.__setattr__(self, "smoothing_len", _integer("smoothing_len", self.smoothing_len))
+        if self.k != "auto":
+            object.__setattr__(self, "k", _integer("k", self.k, " >= 2 or 'auto'"))
+        for name in ("overlap", "seed_rate"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         try:
             self.windowing()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if isinstance(self.k, str):
-            if self.k != "auto":
-                raise ConfigError(f"k must be an integer >= 2 or 'auto', got {self.k!r}")
-        elif self.k < 2:
+        if self.k != "auto" and self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
         if self.k_max < 2:
             raise ConfigError("k_max must be at least 2")
-        if self.m < 1:
-            raise ConfigError("m must be positive")
+        if not 1 <= self.m <= self.window_len // 2:
+            raise ConfigError(
+                f"m must lie in [1, window_len // 2] = [1, {self.window_len // 2}], got {self.m}"
+            )
         if self.neighbors < 1:
             raise ConfigError("neighbors must be positive")
         if self.iterations < 1 or self.restarts < 1:
             raise ConfigError("iterations and restarts must be positive")
         if self.seed_rate <= 0.0:
             raise ConfigError("seed_rate must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
@@ -164,6 +178,20 @@ class PipelineConfig:
             taper=self.taper,
             smoothing_len=self.smoothing_len,
         )
+
+
+def _integer(name: str, value: Any, alternative: str = "") -> int:
+    """`value` as an int; a bool, a string or a float is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer{alternative}, got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, value: Any) -> float:
+    """`value` as a float; a bool, a string, NaN or an infinity is a ConfigError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -272,19 +300,23 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
         del composite
 
     with stages.stage("graph"):
+        n = features.n_windows
+        pairs = cfg.k_max + 1 if cfg.k == "auto" else cfg.k  # eigenpairs choosing k reads
+        if cfg.neighbors >= n or pairs > n:
+            raise ConfigError(
+                f"the input has {n} windows; neighbors={cfg.neighbors} needs "
+                f"{cfg.neighbors + 1} and k={cfg.k!r} (k_max={cfg.k_max}) needs {pairs}"
+            )
         graph = knn_graph(features.values, neighbors=cfg.neighbors)
         lap = laplacian(graph)
 
     with stages.stage("spectrum"):
-        embedding = eigendecompose(lap, min(graph.n_vertices, max(cfg.k_max + 1, 20)))
+        embedding = eigendecompose(lap, min(n, max(cfg.k_max + 1, 20, pairs)))
         k_estimated = (
             estimate_k(embedding.eigenvalues, cfg.k_max) if embedding.p >= cfg.k_max + 1 else None
         )
-        k_used = k_estimated if cfg.k == "auto" else int(cfg.k)
-        if k_used is None:
-            raise ConfigError(
-                f"k='auto' needs at least {cfg.k_max + 1} eigenvalues; graph has {graph.n_vertices} vertices"
-            )
+        # with k = auto the graph stage ensured n > k_max, so k_estimated is set
+        k_used = k_estimated if cfg.k == "auto" else cfg.k
 
     def incres_config(tag: int) -> IncresConfig:
         return IncresConfig(

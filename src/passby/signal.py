@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,6 +123,12 @@ class ManifestEntry:
     start_s: float
     duration_s: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.start_s) and math.isfinite(self.duration_s)):
+            raise ManifestError(
+                f"{self.path}: crop start {self.start_s} and duration {self.duration_s} must be finite"
+            )
+
 
 @dataclass(frozen=True)
 class LabelSpan:
@@ -158,13 +165,11 @@ def _read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     return int(rate), data
 
 
-def _to_float(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Raw samples from `_read_wav` as mono float64, written into `out` if given.
+def _to_float(raw: np.ndarray, out: np.ndarray) -> None:
+    """Write raw samples from `_read_wav` into `out` as mono float64.
 
     Integer PCM is scaled by 1/2^(bits-1); two channels are averaged to one.
     """
-    if out is None:
-        out = np.empty(raw.shape[0])
     if raw.ndim == 2:
         np.sum(raw, axis=1, dtype=np.float64, out=out)
         out /= raw.shape[1]
@@ -179,13 +184,6 @@ def _to_float(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # 24-bit PCM arrives widened into the top bytes of int32, so one
         # scale realizes v/2^23 for 24-bit data and v/2^31 for true 32-bit.
         out /= 2.0**31
-    return out
-
-
-def load_audio(path: str | Path) -> AudioSignal:
-    """Decode a WAV file to mono float64 (see `_read_wav` and `_to_float`)."""
-    rate, raw = _read_wav(path)
-    return AudioSignal(samples=_to_float(raw), sample_rate=rate)
 
 
 def write_wav(signal: AudioSignal, path: str | Path, encoding: str = "float32") -> None:

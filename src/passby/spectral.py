@@ -163,13 +163,6 @@ class Partition:
     def sizes(self) -> npt.NDArray[np.int64]:
         return np.bincount(self.labels, minlength=self.k)
 
-    def as_sets(self) -> frozenset[frozenset[int]]:
-        """Label-free view for comparisons up to relabeling."""
-        groups: dict[int, list[int]] = {}
-        for i, c in enumerate(self.labels):
-            groups.setdefault(int(c), []).append(i)
-        return frozenset(frozenset(g) for g in groups.values())
-
 
 @dataclass(frozen=True)
 class KmeansConfig:
@@ -186,12 +179,8 @@ class KmeansConfig:
 @dataclass(frozen=True)
 class KmeansResult:
     partition: Partition
-    centroids: npt.NDArray[np.float64]
     wcss: float
-    iterations: int
-    wcss_history: tuple[float, ...]
     restart_index: int
-    degenerate: bool
 
 
 def _plus_plus_seeds(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -225,23 +214,19 @@ def _repair_empty(labels: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
 
 def _lloyd(
     X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
+) -> tuple[np.ndarray, float]:
+    """Lloyd iterations from k-means++ seeds: the final labels and their WCSS."""
     centroids = _plus_plus_seeds(X, k, rng)
     prev = np.inf
-    history: list[float] = []
-    labels = np.zeros(X.shape[0], dtype=np.int64)
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        labels = _repair_empty(labels, d2, k)
+        labels = _repair_empty(np.argmin(d2, axis=1), d2, k)
         centroids = np.stack([X[labels == c].mean(axis=0) for c in range(k)])
         wcss = float(((X - centroids[labels]) ** 2).sum())
-        history.append(wcss)
         if np.isfinite(prev) and (prev == 0.0 or (prev - wcss) / prev < tol):
             break
         prev = wcss
-    return labels, centroids, history[-1], iteration, history
+    return labels, wcss
 
 
 def kmeans(points: npt.ArrayLike, k: int, cfg: KmeansConfig = KmeansConfig()) -> KmeansResult:
@@ -258,24 +243,14 @@ def kmeans(points: npt.ArrayLike, k: int, cfg: KmeansConfig = KmeansConfig()) ->
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    degenerate = bool(k > 1 and np.all(X == X[0]))
-    best: tuple[float, int, np.ndarray, np.ndarray, int, list[float]] | None = None
+    best: tuple[float, int, np.ndarray] | None = None
     for r, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)):
-        rng = np.random.default_rng(stream)
-        labels, centroids, wcss, iters, history = _lloyd(X, k, rng, cfg.max_iter, cfg.tol)
+        labels, wcss = _lloyd(X, k, np.random.default_rng(stream), cfg.max_iter, cfg.tol)
         if best is None or wcss < best[0]:
-            best = (wcss, r, labels, centroids, iters, history)
+            best = (wcss, r, labels)
     assert best is not None
-    wcss, r, labels, centroids, iters, history = best
-    return KmeansResult(
-        partition=Partition(labels=labels, k=k),
-        centroids=centroids,
-        wcss=wcss,
-        iterations=iters,
-        wcss_history=tuple(history),
-        restart_index=r,
-        degenerate=degenerate,
-    )
+    wcss, r, labels = best
+    return KmeansResult(partition=Partition(labels=labels, k=k), wcss=wcss, restart_index=r)
 
 
 def spectral_cluster(

@@ -11,7 +11,6 @@ from passby import evaluate
 from passby.evaluate import (
     ConfusionMatrix,
     align_labels,
-    aligned_matches,
     confusion,
     densify,
     labels_from_spans,
@@ -27,6 +26,11 @@ def _cm(rows, names=None):
     if names is None:
         names = tuple(f"c{i}" for i in range(counts.shape[0]))
     return ConfusionMatrix(counts=counts, true_names=names)
+
+
+def aligned_matches(cm):
+    """Points the best alignment matches: the counts summed over its pairs."""
+    return sum(int(cm.counts[t, c]) for c, t in enumerate(align_labels(cm)) if t >= 0)
 
 
 def _labels_realizing(counts):

@@ -215,6 +215,50 @@ def test_config_validation_errors():
         PipelineConfig(k_max=1)
     with pytest.raises(ConfigError):
         PipelineConfig(m=0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"m": "1500"}',
+        '{"seed_rate": NaN}',
+        '{"overlap": Infinity}',
+        '{"neighbors": true}',
+        '{"k": 3.5}',
+        '{"k": 3.0}',
+        '{"k": true}',
+        '{"k": "3"}',
+        '{"smoothing_len": 2.5}',
+        '{"manifest": 5}',
+    ],
+)
+def test_cli_config_of_a_wrong_type_is_config_error(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(bad)
+    out = tmp_path / "o"
+    code = main(["--config", str(cfg_path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "bad configuration" in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything is written
+
+
+def test_config_coerces_numbers_to_plain_types():
+    # the report writes the parameters as JSON, which takes no numpy scalar
+    cfg = PipelineConfig(m=np.int64(800), k=np.int32(3), overlap=0, seed_rate=np.float32(0.5))
+    assert (cfg.m, cfg.k, cfg.overlap, cfg.seed_rate) == (800, 3, 0.0, 0.5)
+    assert [type(v) for v in (cfg.m, cfg.k, cfg.overlap, cfg.seed_rate)] == [int, int, float, float]
+    json.dumps(dataclasses.asdict(cfg))
+
+
+def test_cli_m_above_half_the_window_fails_before_any_stage(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["--m", "3001", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "[1, 3000]" in capsys.readouterr().err
+    assert not out.exists()
+    assert PipelineConfig(m=3000).m == 3000
 
 
 def test_config_from_file_merges_overrides(tmp_path):
@@ -301,6 +345,7 @@ def test_failed_run_discards_partial_artifacts(tmp_path):
     with pytest.raises(StageError) as excinfo:
         run_pipeline(cfg)
     assert excinfo.value.stage == "graph"
+    assert exit_code_for(excinfo.value) == EXIT_CONFIG
     assert not (out / "synthetic.wav").exists()
     assert not (out / "manifest.csv").exists()
     assert not (out / "labels.csv").exists()
@@ -388,6 +433,28 @@ def test_cli_more_than_eight_clusters(tmp_path, capsys):
     assert sorted(a for a in alignment if a >= 0) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("flags", [["--knn", "144"], ["--k", "145"], ["--k-max", "144"]])
+def test_cli_limits_set_by_the_window_count_are_config_errors(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    code = main([*flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "stage 'graph' failed" in err and "144 windows" in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_cli_k_above_twenty_clusters(tmp_path, capsys):
+    # the eigensolve keeps at least k pairs, so k-means has columns 1..k-1
+    out = tmp_path / "k25"
+    code = main(["--out", str(out), "--k", "25"])
+    assert code == 0, capsys.readouterr().err
+    with open(out / "report.json") as fh:
+        report = json.load(fh)
+    assert report["k"]["used"] == 25
+    assert len(report["spectrum"]) == 25
+    assert max(report["methods"]["spectral"]["labels"]) == 24
+
+
 def test_cli_flags_are_config_fields():
     dests = set(vars(build_parser().parse_args([]))) - {"config", "out"}
     assert dests <= {f.name for f in dataclasses.fields(PipelineConfig)}
@@ -426,6 +493,19 @@ def test_cli_non_finite_audio_returns_io_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_IO
     assert "stage 'ingest' failed" in captured.err and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("start, duration", [("nan", "2.0"), ("0.0", "inf"), ("-inf", "2.0")])
+def test_cli_non_finite_manifest_number_returns_io_code(tmp_path, capsys, start, duration):
+    write_wav(AudioSignal(np.sin(np.linspace(0.0, 400.0, 2 * 48000)), 48000), tmp_path / "a.wav")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"path,label,start_s,duration_s\na.wav,x,0.0,1.0\na.wav,y,{start},{duration}\n")
+    out = tmp_path / "o"
+    code = main(["--manifest", str(manifest), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert "stage 'input' failed" in err and "m.csv:3" in err and "finite" in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def test_cli_config_file_flow(tmp_path, capsys):

@@ -21,7 +21,6 @@ from passby.signal import (
     UnsupportedEncodingError,
     WindowingConfig,
     assemble_composite,
-    load_audio,
     read_manifest,
     stft_features,
     write_manifest,
@@ -44,6 +43,25 @@ def _sine(rate, seconds, hz, amp=0.5):
 
 
 # ---------------------------------------------------------------- load_audio
+
+
+def load_audio(path):
+    """Decode a whole WAV file to mono float64 (oracle for the composite's decode).
+
+    `_read_wav` reads the file, so a bad one raises what ingest raises.  The
+    samples are scaled here, one expression at a time: a stereo mean, then
+    1/2^(bits-1) for integer PCM.
+    """
+    rate, data = signal_module._read_wav(path)
+    x = data.astype(np.float64).mean(axis=1) if data.ndim == 2 else data.astype(np.float64)
+    if data.dtype == np.uint8:
+        x = (x - 128.0) / 128.0
+    elif data.dtype == np.int16:
+        x = x / 2.0**15
+    elif data.dtype == np.int32:
+        # 24-bit PCM arrives widened into the top bytes of int32
+        x = x / 2.0**31
+    return AudioSignal(samples=x, sample_rate=rate)
 
 
 def test_load_pcm16_scaling(tmp_path):
@@ -185,6 +203,12 @@ def test_manifest_bad_number(tmp_path):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("start, duration", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, np.nan)])
+def test_composite_rejects_non_finite_entries_built_in_code(start, duration):
+    with pytest.raises(ManifestError, match="must be finite"):
+        assemble_composite([ManifestEntry("a.wav", "x", start, duration)])
+
+
 def test_manifest_empty_rejected(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("path,label,start_s,duration_s\n")
@@ -266,18 +290,6 @@ def test_composite_empty_manifest():
         assemble_composite([])
 
 
-def _decode_whole_file(data):
-    """A float64 decode of the whole raw array, expression by expression (reference)."""
-    x = data.astype(np.float64).mean(axis=1) if data.ndim == 2 else data.astype(np.float64)
-    if data.dtype == np.uint8:
-        x = (x - 128.0) / 128.0
-    elif data.dtype == np.int16:
-        x = x / 2.0**15
-    elif data.dtype == np.int32:
-        x = x / 2.0**31
-    return x
-
-
 def test_composite_decodes_every_format_bit_identically(tmp_path):
     rate, frames = 8000, 4000
     rng = np.random.default_rng(11)
@@ -297,12 +309,10 @@ def test_composite_decodes_every_format_bit_identically(tmp_path):
     names = [*raws, "i24"]
     entries, expected = [], []
     for i, name in enumerate(names):
-        path = tmp_path / f"{name}.wav"
-        reference = _decode_whole_file(wavfile.read(path)[1])
-        assert load_audio(path).samples.tobytes() == reference.tobytes()
-        for start, length in ((0, 800), (17 + 100 * i, 1203), (frames - 400, 400)):
+        whole = load_audio(tmp_path / f"{name}.wav").samples
+        for start, length in ((0, frames), (0, 800), (17 + 100 * i, 1203), (frames - 400, 400)):
             entries.append(ManifestEntry(f"{name}.wav", name, start / rate, length / rate))
-            expected.append(load_audio(path).samples[start : start + length].copy())
+            expected.append(whole[start : start + length])
     composite, _ = assemble_composite(entries, base_dir=tmp_path)
     assert composite.samples.tobytes() == np.concatenate(expected).tobytes()
 
