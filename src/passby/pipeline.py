@@ -138,6 +138,10 @@ class PipelineConfig:
             raise ConfigError(
                 f"m must lie in [1, window_len // 2] = [1, {self.window_len // 2}], got {self.m}"
             )
+        if self.smoothing_len is not None and self.smoothing_len > self.m:
+            raise ConfigError(
+                f"smoothing_len {self.smoothing_len} is wider than the m={self.m} coefficients"
+            )
         if self.neighbors < 1:
             raise ConfigError("neighbors must be positive")
         if self.iterations < 1 or self.restarts < 1:
@@ -289,15 +293,20 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
             base_dir = out
 
     with stages.stage("ingest"):
-        composite, spans = assemble_composite(entries, base_dir=base_dir)
+        recording, spans = assemble_composite(entries, base_dir=base_dir)
+        if recording.n_samples < cfg.window_len:
+            raise ConfigError(
+                f"the input has {recording.n_samples} samples, "
+                f"fewer than one window of window_len={cfg.window_len}"
+            )
 
     with stages.stage("features"):
-        features = stft_features(composite, cfg.windowing(), m=cfg.m)
-        # nothing after this stage reads the samples: draw their plot, keep
-        # the duration, and free the composite before the graph is built
-        waveform = plots.waveform_svg(composite.samples, composite.sample_rate)
-        duration_s = composite.duration_s
-        del composite
+        features = stft_features(recording, cfg.windowing(), m=cfg.m)
+        # nothing after this stage reads the samples: keep the duration and
+        # free the crops before the graph is built
+        waveform = plots.waveform_svg(features.envelope)
+        duration_s = recording.duration_s
+        del recording
 
     with stages.stage("graph"):
         n = features.n_windows

@@ -147,16 +147,10 @@ def timeline_svg(clusters: np.ndarray, truth: list[str]) -> str:
     return _svg(body)
 
 
-def waveform_svg(samples: np.ndarray, sample_rate: int, columns: int = 600) -> str:
-    """Min/max envelope of the signal as one filled polygon."""
-    x = np.asarray(samples, dtype=np.float64)
-    edges = np.linspace(0, x.size, columns + 1).astype(int)
-    # the non-empty columns tile the samples, so each ends where the next starts
-    filled = edges[1:] > edges[:-1]
-    highs = np.zeros(columns)
-    lows = np.zeros(columns)
-    highs[filled] = np.maximum.reduceat(x, edges[:-1][filled])
-    lows[filled] = np.minimum.reduceat(x, edges[:-1][filled])
+def waveform_svg(envelope: np.ndarray) -> str:
+    """Min/max envelope as one filled polygon: row 0 the column maxima, row 1 the minima."""
+    highs, lows = envelope
+    columns = highs.size
     peak = float(max(abs(highs).max(), abs(lows).max(), 1e-12))
     xs = _scale(np.arange(columns, dtype=float), 0.0, float(columns - 1), MARGIN, WIDTH - MARGIN)
     mid = HEIGHT / 2

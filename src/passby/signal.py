@@ -1,4 +1,4 @@
-"""Audio ingestion, composite assembly, and short-time spectral features."""
+"""Audio ingestion, manifest crops, and short-time spectral features."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from scipy.io import wavfile
 
 
 STFT_BLOCK_ROWS = 256  # windows transformed together in stft_features
+WAVEFORM_COLUMNS = 600  # time columns of the min/max envelope stft_features keeps
 
 
 class AudioIOError(Exception):
@@ -47,9 +48,26 @@ class AudioSignal:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
+
+@dataclass(frozen=True)
+class Recording:
+    """A manifest's crops in order, each still in its file's own sample format.
+
+    The recording is their concatenation once `_to_float` decodes them;
+    `stft_features` decodes them a block of windows at a time, so the whole
+    recording is never held as float64.
+    """
+
+    crops: tuple[np.ndarray, ...]
+    sample_rate: int
+
+    @property
+    def n_samples(self) -> int:
+        return sum(crop.shape[0] for crop in self.crops)
+
     @property
     def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.n_samples / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -88,12 +106,18 @@ class WindowingConfig:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-window magnitudes of DFT bins 1..m (bin 0 excluded), row per window."""
+    """Per-window magnitudes of DFT bins 1..m (bin 0 excluded), row per window.
+
+    `envelope` holds the maximum (row 0) and minimum (row 1) sample of each
+    of `WAVEFORM_COLUMNS` equal time columns of the whole signal; a column
+    that holds no sample reads 0.
+    """
 
     values: npt.NDArray[np.float64]
     start_times: npt.NDArray[np.float64]
     window_len: int
     sample_rate: int
+    envelope: npt.NDArray[np.float64]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -132,7 +156,7 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class LabelSpan:
-    """Half-open interval [start_s, end_s) of composite time carrying one label."""
+    """Half-open interval [start_s, end_s) of recording time carrying one label."""
 
     label: str
     start_s: float
@@ -239,21 +263,22 @@ def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
 
 def assemble_composite(
     entries: list[ManifestEntry], base_dir: str | Path | None = None
-) -> tuple[AudioSignal, list[LabelSpan]]:
-    """Concatenate manifest crops into one signal plus its label spans.
+) -> tuple[Recording, list[LabelSpan]]:
+    """Cut the manifest's crops out of their files, plus their label spans.
 
     Relative clip paths resolve against `base_dir`.  All clips must share one
-    sample rate and every crop must lie inside its file.  The composite is
-    allocated once the first clip gives the rate, and each crop is decoded
-    straight into its place there.  A file is read once for a run of entries
-    that name it, and only one raw clip is alive at a time.
+    sample rate and every crop must lie inside its file.  A file is read once
+    for a run of entries that name it, and each crop is a copy in the file's
+    own sample format, so the file's samples are freed before the next file
+    is read.
     """
     if not entries:
         raise ManifestError("manifest lists no clips")
     base = Path(base_dir) if base_dir is not None else Path(".")
-    samples: np.ndarray | None = None
+    crops: list[np.ndarray] = []
     spans: list[LabelSpan] = []
     rate: int | None = None
+    raw: np.ndarray | None = None
     raw_path: Path | None = None
     offset = 0
     for e in entries:
@@ -261,16 +286,14 @@ def assemble_composite(
         if not clip_path.is_absolute():
             clip_path = base / clip_path
         if clip_path != raw_path:
-            raw = None  # free the last file before the next one is read
+            raw = None  # let the last file go before the next one is read
             clip_rate, raw = _read_wav(clip_path)
             raw_path = clip_path
         if rate is None:
             rate = clip_rate
             total = sum(max(int(round(x.duration_s * rate)), 0) for x in entries)
-            try:
-                samples = np.empty(total)
-            except (MemoryError, ValueError) as exc:  # a duration far beyond any file
-                raise ManifestError(f"the crops total {total} samples; too many to hold") from exc
+            if total > np.iinfo(np.intp).max // 8:  # a duration far beyond any file
+                raise ManifestError(f"the crops total {total} samples; too many to hold")
         elif clip_rate != rate:
             raise ManifestError(f"{e.path}: sample rate {clip_rate} != {rate} of the first clip")
         start = int(round(e.start_s * rate))
@@ -281,11 +304,36 @@ def assemble_composite(
             raise ManifestError(
                 f"{e.path}: crop [{e.start_s}s, +{e.duration_s}s) falls outside the file"
             )
-        _to_float(raw[start : start + length], out=samples[offset : offset + length])
+        crops.append(raw[start : start + length].copy())
         spans.append(LabelSpan(e.label, offset / rate, (offset + length) / rate))
         offset += length
-    assert rate is not None and samples is not None
-    return AudioSignal(samples=samples, sample_rate=rate), spans
+    assert rate is not None
+    return Recording(crops=tuple(crops), sample_rate=rate), spans
+
+
+class _Envelope:
+    """Running per-column maximum and minimum of a signal whose length is known.
+
+    The `WAVEFORM_COLUMNS` columns split [0, n_samples) at `linspace` points
+    rounded down; samples may arrive in pieces of any size, in order.
+    """
+
+    def __init__(self, n_samples: int) -> None:
+        self.edges = np.linspace(0, n_samples, WAVEFORM_COLUMNS + 1).astype(int)
+        self.extremes = np.empty((2, WAVEFORM_COLUMNS))
+        self.extremes[0] = -np.inf
+        self.extremes[1] = np.inf
+        self.extremes[:, self.edges[1:] == self.edges[:-1]] = 0.0  # columns no sample reaches
+
+    def add(self, offset: int, x: np.ndarray) -> None:
+        """Take in samples offset .. offset + len(x) - 1."""
+        inner = self.edges[(self.edges > offset) & (self.edges < offset + x.size)]
+        starts = np.unique(np.concatenate(([offset], inner)))
+        # the last column starting at or before each start is the non-empty one
+        cols = np.searchsorted(self.edges, starts, side="right") - 1
+        highs, lows = self.extremes
+        highs[cols] = np.maximum(highs[cols], np.maximum.reduceat(x, starts - offset))
+        lows[cols] = np.minimum(lows[cols], np.minimum.reduceat(x, starts - offset))
 
 
 def _moving_mean(rows: np.ndarray, width: int) -> np.ndarray:
@@ -297,35 +345,65 @@ def _moving_mean(rows: np.ndarray, width: int) -> np.ndarray:
 
 
 def stft_features(
-    signal: AudioSignal, cfg: WindowingConfig = WindowingConfig(), m: int = 1500
+    signal: Recording | AudioSignal, cfg: WindowingConfig = WindowingConfig(), m: int = 1500
 ) -> FeatureMatrix:
-    """Magnitudes of DFT bins 1..m for each analysis window.
+    """Magnitudes of DFT bins 1..m for each analysis window, plus the waveform envelope.
 
     Uses the unnormalized forward transform.  The DC bin is dropped and a
-    trailing partial window is discarded.
+    trailing partial window is discarded.  The samples are decoded into one
+    carry buffer that holds the span of `STFT_BLOCK_ROWS` windows; each full
+    span is transformed as one block, and the samples of the windows still
+    open move to the buffer's front, so a window may straddle crops.
     """
     if m < 1 or m > cfg.window_len // 2:
         raise ValueError(f"m must lie in [1, {cfg.window_len // 2}], got {m}")
-    x = signal.samples
-    if x.size < cfg.window_len:
-        raise ValueError(
-            f"signal has {x.size} samples; at least one window of {cfg.window_len} required"
-        )
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
-    taper = np.hamming(cfg.window_len) if cfg.taper == "hamming" else None
-    # row blocks: only one block's full complex spectrum is alive at a time
-    mags = np.empty((frames.shape[0], m))
-    for start in range(0, frames.shape[0], STFT_BLOCK_ROWS):
-        block = frames[start : start + STFT_BLOCK_ROWS]
+    if cfg.smoothing_len is not None and cfg.smoothing_len > m:
+        raise ValueError(f"smoothing_len {cfg.smoothing_len} is wider than the {m} coefficients")
+    if isinstance(signal, AudioSignal):
+        signal = Recording(crops=(signal.samples,), sample_rate=signal.sample_rate)
+    total, w, hop = signal.n_samples, cfg.window_len, cfg.hop
+    if total < w:
+        raise ValueError(f"signal has {total} samples; at least one window of {w} required")
+    n = (total - w) // hop + 1
+    span = (STFT_BLOCK_ROWS - 1) * hop + w
+    buf = np.empty(min(span, total))
+    taper = np.hamming(w) if cfg.taper == "hamming" else None
+    mags = np.empty((n, m))
+    envelope = _Envelope(total)
+    row = 0  # windows transformed so far; buf[0] is sample row * hop
+    fill = 0  # samples held in buf
+
+    def spectra(samples: np.ndarray, rows: int) -> np.ndarray:
+        """Bins 1..m of the first `rows` windows of `samples`."""
+        block = np.lib.stride_tricks.sliding_window_view(samples[: (rows - 1) * hop + w], w)[::hop]
         if taper is not None:
             block = block * taper
-        mags[start : start + STFT_BLOCK_ROWS] = np.abs(np.fft.rfft(block, axis=1)[:, 1 : m + 1])
+        return np.fft.rfft(block, axis=1)[:, 1 : m + 1]
+
+    for crop in signal.crops:
+        pos = 0
+        while pos < crop.shape[0]:
+            take = min(crop.shape[0] - pos, buf.size - fill)
+            _to_float(crop[pos : pos + take], out=buf[fill : fill + take])
+            envelope.add(row * hop + fill, buf[fill : fill + take])
+            pos += take
+            fill += take
+            if fill == span:
+                np.abs(spectra(buf, STFT_BLOCK_ROWS), out=mags[row : row + STFT_BLOCK_ROWS])
+                row += STFT_BLOCK_ROWS
+                fill = span - STFT_BLOCK_ROWS * hop
+                buf[:fill] = buf[STFT_BLOCK_ROWS * hop : span]
+    if row < n:
+        last = spectra(buf, n - row)
+        buf = None  # every sample is in: free them before the magnitudes are taken
+        np.abs(last, out=mags[row:])
     if cfg.smoothing_len is not None:
         mags = _moving_mean(mags, cfg.smoothing_len)
-    starts = cfg.hop * np.arange(frames.shape[0]) / signal.sample_rate
+    starts = hop * np.arange(n) / signal.sample_rate
     return FeatureMatrix(
         values=mags,
         start_times=starts,
-        window_len=cfg.window_len,
+        window_len=w,
         sample_rate=signal.sample_rate,
+        envelope=envelope.extremes,
     )

@@ -16,6 +16,7 @@ import pytest
 from scipy import sparse
 from scipy.io import wavfile
 
+from _helpers import waveform_by_loop
 from passby.cli import build_parser, main
 from passby.evaluate import align_labels, confusion, purity
 from passby.graph import ZeroNormError, knn_graph, laplacian
@@ -35,6 +36,7 @@ from passby.plots import heatmap_svg, timeline_svg, waveform_svg
 from passby.signal import (
     AudioIOError,
     AudioSignal,
+    _Envelope,
     ManifestEntry,
     WindowingConfig,
     assemble_composite,
@@ -261,6 +263,28 @@ def test_cli_m_above_half_the_window_fails_before_any_stage(tmp_path, capsys):
     assert PipelineConfig(m=3000).m == 3000
 
 
+def test_cli_smoothing_wider_than_m_fails_before_any_stage(tmp_path, capsys):
+    # a moving mean wider than the row would return more columns than m
+    out = tmp_path / "wide"
+    code = main(["--smoothing", "1501", "--method", "spectral", "--k", "3", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "smoothing_len 1501" in capsys.readouterr().err
+    assert not out.exists()
+    out = tmp_path / "narrow"
+    code = main(["--smoothing", "1499", "--method", "spectral", "--k", "3", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["n_coefficients"] == 1500
+
+
+def test_cli_window_longer_than_the_input_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["--window-len", "1000000", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "stage 'ingest' failed" in err and "864000 samples" in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
 def test_config_from_file_merges_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"m": 800, "neighbors": 10}))
@@ -370,16 +394,16 @@ def test_composite_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):
     # after the features stage nothing reads the samples
     from passby import pipeline
 
-    samples = []
+    crops = []
     assemble, build = pipeline.assemble_composite, pipeline.knn_graph
 
     def tracked_assemble(*args, **kwargs):
-        composite, spans = assemble(*args, **kwargs)
-        samples.append(weakref.ref(composite.samples))
-        return composite, spans
+        recording, spans = assemble(*args, **kwargs)
+        crops.extend(weakref.ref(crop) for crop in recording.crops)
+        return recording, spans
 
     def checked_build(*args, **kwargs):
-        assert samples and samples[0]() is None
+        assert crops and all(crop() is None for crop in crops)
         return build(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "assemble_composite", tracked_assemble)
@@ -642,45 +666,36 @@ def test_timeline_uses_distinct_band_colors():
     assert "#4477aa" in svg and "#ee6677" in svg
 
 
+def _envelope(samples, cuts=()):
+    """The envelope stft_features keeps, with the samples arriving in pieces split at `cuts`."""
+    env = _Envelope(samples.size)
+    bounds = [0, *cuts, samples.size]
+    for a, b in zip(bounds, bounds[1:]):
+        if b > a:
+            env.add(a, samples[a:b])
+    return env.extremes
+
+
 def test_waveform_svg_shape():
     rng = np.random.default_rng(0)
-    svg = waveform_svg(rng.normal(size=48000), 48000)
+    svg = waveform_svg(_envelope(rng.normal(size=48000)))
     assert svg.count("<polygon") == 1
     assert 'fill="white"' in svg
-
-
-def _waveform_by_loop(samples, sample_rate, columns=600):
-    """Envelope polygon with each column's extremes taken by a slice loop (reference)."""
-    from passby.plots import HEIGHT, MARGIN, WIDTH, _axes, _scale, _svg
-
-    x = np.asarray(samples, dtype=np.float64)
-    edges = np.linspace(0, x.size, columns + 1).astype(int)
-    highs = np.array([x[a:b].max() if b > a else 0.0 for a, b in zip(edges[:-1], edges[1:])])
-    lows = np.array([x[a:b].min() if b > a else 0.0 for a, b in zip(edges[:-1], edges[1:])])
-    peak = float(max(abs(highs).max(), abs(lows).max(), 1e-12))
-    xs = _scale(np.arange(columns, dtype=float), 0.0, float(columns - 1), MARGIN, WIDTH - MARGIN)
-    mid = HEIGHT / 2
-    half = (HEIGHT - 2 * MARGIN) / 2
-    upper = mid - highs / peak * half
-    lower = mid - lows / peak * half
-    pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs, upper))
-    pts += " " + " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs[::-1], lower[::-1]))
-    body = _axes("time", "amplitude") + f'<polygon points="{pts}" fill="#4477aa" stroke="none"/>\n'
-    return _svg(body)
 
 
 def test_waveform_envelope_matches_loop_reference():
     rng = np.random.default_rng(2)
     for size in (1, 599, 600, 601, 10_000):
         samples = rng.normal(size=size) * rng.uniform(0.1, 2.0)
-        assert waveform_svg(samples, 8000) == _waveform_by_loop(samples, 8000)
-    assert waveform_svg(np.zeros(50), 8000) == _waveform_by_loop(np.zeros(50), 8000)
+        for cuts in ((), (1,), sorted(rng.integers(0, size, size=9).tolist())):
+            assert waveform_svg(_envelope(samples, cuts)) == waveform_by_loop(samples, 8000)
+    assert waveform_svg(_envelope(np.zeros(50))) == waveform_by_loop(np.zeros(50), 8000)
 
 
 def test_svgs_are_deterministic(default_run, tmp_path):
     rng = np.random.default_rng(1)
     samples = rng.normal(size=10000)
-    assert waveform_svg(samples, 1000) == waveform_svg(samples, 1000)
+    assert waveform_svg(_envelope(samples)) == waveform_svg(_envelope(samples))
     vals = np.sort(rng.uniform(0, 2, size=20))
     from passby.plots import spectrum_svg
 

@@ -1,8 +1,9 @@
-"""Audio decode, composite assembly, and spectral feature contracts."""
+"""Audio decode, manifest crops, and spectral feature contracts."""
 
 from __future__ import annotations
 
 import struct
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from scipy.io import wavfile
 
 import passby.signal as signal_module
+from passby.plots import waveform_svg
 from passby.signal import (
     AudioIOError,
     AudioSignal,
@@ -26,6 +28,7 @@ from passby.signal import (
     write_manifest,
     write_wav,
 )
+from _helpers import waveform_by_loop
 
 
 def _write_pcm24(path, rate, values):
@@ -62,6 +65,16 @@ def load_audio(path):
         # 24-bit PCM arrives widened into the top bytes of int32
         x = x / 2.0**31
     return AudioSignal(samples=x, sample_rate=rate)
+
+
+def _samples(recording):
+    """The recording's float64 samples: its crops decoded by `_to_float`, concatenated."""
+    out = np.empty(recording.n_samples)
+    offset = 0
+    for crop in recording.crops:
+        signal_module._to_float(crop, out=out[offset : offset + crop.shape[0]])
+        offset += crop.shape[0]
+    return out
 
 
 def test_load_pcm16_scaling(tmp_path):
@@ -224,7 +237,8 @@ def test_composite_nine_two_second_clips(tmp_path):
         write_wav(AudioSignal(_sine(rate, 2.0, 100 + 10 * i), rate), path)
         entries.append(ManifestEntry(f"clip{i}.wav", label, 0.0, 2.0))
     composite, spans = assemble_composite(entries, base_dir=tmp_path)
-    assert composite.samples.size == 864000
+    assert _samples(composite).size == composite.n_samples == 864000
+    assert composite.duration_s == 18.0
     assert len(spans) == 9
     assert spans[0].label == "truck"
     assert spans[-1].end_s == pytest.approx(18.0)
@@ -239,8 +253,8 @@ def test_composite_crops_inside_files(tmp_path):
     write_wav(AudioSignal(np.arange(rate * 2) / (rate * 2.0), rate), path)
     entries = [ManifestEntry("c.wav", "x", 0.5, 1.0)]
     composite, spans = assemble_composite(entries, base_dir=tmp_path)
-    assert composite.samples.size == rate
-    assert composite.samples[0] == pytest.approx(0.25)
+    assert _samples(composite).size == rate
+    assert _samples(composite)[0] == pytest.approx(0.25)
     assert spans[0].start_s == 0.0 and spans[0].end_s == pytest.approx(1.0)
 
 
@@ -258,12 +272,12 @@ def test_composite_is_the_concatenated_crops(tmp_path):
         [load_audio(tmp_path / f"c{i}.wav").samples[int(s * rate) : int((s + d) * rate)]
          for i, (s, d) in enumerate(crops)]
     )
-    assert np.array_equal(composite.samples, expected)
+    assert np.array_equal(_samples(composite), expected)
     assert [(sp.start_s, sp.end_s) for sp in spans] == [(0.0, 1.0), (1.0, 1.5), (1.5, 2.25)]
 
 
 def test_composite_duration_beyond_memory_is_manifest_error(tmp_path):
-    # the composite is allocated before the bad entry's own crop check runs
+    # the total is checked before the bad entry's own crop check runs
     write_wav(AudioSignal(np.ones(100) * 0.1, 8000), tmp_path / "a.wav")
     entries = [ManifestEntry("a.wav", "x", 0.0, 0.01), ManifestEntry("a.wav", "y", 0.0, 1e300)]
     with pytest.raises(ManifestError, match="too many"):
@@ -314,7 +328,7 @@ def test_composite_decodes_every_format_bit_identically(tmp_path):
             entries.append(ManifestEntry(f"{name}.wav", name, start / rate, length / rate))
             expected.append(whole[start : start + length])
     composite, _ = assemble_composite(entries, base_dir=tmp_path)
-    assert composite.samples.tobytes() == np.concatenate(expected).tobytes()
+    assert _samples(composite).tobytes() == np.concatenate(expected).tobytes()
 
 
 def _bad_wav(tmp_path, kind):
@@ -386,12 +400,15 @@ def test_composite_reads_a_shared_file_once_per_run(tmp_path, monkeypatch):
     entries = [ManifestEntry(f"{name}.wav", name, start, length) for name, start, length in crops]
     composite, _ = assemble_composite(entries, base_dir=tmp_path)
     assert reads == ["a.wav", "b.wav", "a.wav"]
+    # the crops are copies, so no file's samples outlive the call
+    assert all(ref() is None for ref in alive)
+    assert all(crop.base is None for crop in composite.crops)
     monkeypatch.undo()
     expected = [
         load_audio(tmp_path / f"{name}.wav").samples[int(start * rate) : int((start + length) * rate)]
         for name, start, length in crops
     ]
-    assert np.array_equal(composite.samples, np.concatenate(expected))
+    assert np.array_equal(_samples(composite), np.concatenate(expected))
 
 
 # ------------------------------------------------------------ stft features
@@ -528,4 +545,103 @@ def test_feature_matrix_rejects_negative_values():
             start_times=np.array([0.0]),
             window_len=4,
             sample_rate=10,
+            envelope=np.zeros((2, 1)),
         )
+
+
+# ------------------------------------------------ crops streamed into windows
+
+
+def _features_by_blocks(x, cfg, m):
+    """Windows of the whole float64 signal, STFT_BLOCK_ROWS rows per transform (reference)."""
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
+    taper = np.hamming(cfg.window_len) if cfg.taper == "hamming" else None
+    rows = []
+    for start in range(0, frames.shape[0], signal_module.STFT_BLOCK_ROWS):
+        block = frames[start : start + signal_module.STFT_BLOCK_ROWS]
+        if taper is not None:
+            block = block * taper
+        rows.append(np.abs(np.fft.rfft(block, axis=1)[:, 1 : m + 1]))
+    return np.concatenate(rows)
+
+
+def _mixed_format_files(tmp_path, rate, frames):
+    rng = np.random.default_rng(21)
+    wavfile.write(tmp_path / "i16.wav", rate, rng.integers(-(2**15), 2**15, size=frames).astype(np.int16))
+    wavfile.write(tmp_path / "u8.wav", rate, rng.integers(0, 256, size=frames).astype(np.uint8))
+    _write_pcm24(tmp_path / "i24.wav", rate, rng.integers(-(2**23), 2**23, size=frames).tolist())
+    stereo = rng.integers(-(2**15), 2**15, size=(frames, 2)).astype(np.int16)
+    wavfile.write(tmp_path / "i16-stereo.wav", rate, stereo)
+    wavfile.write(tmp_path / "f32.wav", rate, rng.uniform(-0.9, 0.9, size=frames).astype(np.float32))
+    return ["i16", "u8", "i24", "i16-stereo", "f32"]
+
+
+@pytest.mark.parametrize("block_rows", [3, 256])
+@pytest.mark.parametrize("shape", ["straddling", "below-one-block", "whole-blocks"])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        WindowingConfig(window_len=40, overlap=0.5, taper="hamming"),
+        WindowingConfig(window_len=40, smoothing_len=3),
+    ],
+    ids=["hamming-overlap", "box-smoothed"],
+)
+def test_features_of_crops_match_the_concatenated_oracle_crops(
+    tmp_path, monkeypatch, block_rows, shape, cfg
+):
+    monkeypatch.setattr(signal_module, "STFT_BLOCK_ROWS", block_rows)
+    rate, frames, m = 8000, 12000, 17
+    names = _mixed_format_files(tmp_path, rate, frames)
+    span = (block_rows - 1) * cfg.hop + cfg.window_len  # samples under one block of windows
+    if shape == "straddling":
+        lengths = [2477, 1203, 3001, 1999, 2711, 713]  # none a multiple of the hop
+    else:
+        # one block less 7 samples, or two whole blocks plus a 7-sample partial window
+        total = span - 7 if shape == "below-one-block" else span + block_rows * cfg.hop + 7
+        lengths = [total * 3 // 10, total * 2 // 10 + 1, total // 10 + 3]
+        lengths.append(total - sum(lengths))
+    entries, oracle = [], []
+    for i, length in enumerate(lengths):
+        name = names[i % len(names)]
+        start = (137 * i + 11) % (frames - length + 1)
+        entries.append(ManifestEntry(f"{name}.wav", name, start / rate, length / rate))
+        oracle.append(load_audio(tmp_path / f"{name}.wav").samples[start : start + length])
+    x = np.concatenate(oracle)
+    n = (x.size - cfg.window_len) // cfg.hop + 1
+    if shape == "below-one-block":
+        assert n < block_rows
+    elif shape == "whole-blocks":
+        assert n == 2 * block_rows
+
+    recording, _ = assemble_composite(entries, base_dir=tmp_path)
+    got = stft_features(recording, cfg, m=m)
+    whole = stft_features(AudioSignal(x, rate), cfg, m=m)
+    assert got.values.tobytes() == whole.values.tobytes()
+    assert np.array_equal(got.start_times, cfg.hop * np.arange(n) / rate)
+    assert got.envelope.tobytes() == whole.envelope.tobytes()
+    reference = _features_by_blocks(x, cfg, m)
+    if cfg.smoothing_len is not None:
+        reference = signal_module._moving_mean(reference, cfg.smoothing_len)
+    assert got.values.tobytes() == reference.tobytes()
+    assert waveform_svg(got.envelope) == waveform_by_loop(x, rate)
+
+
+def test_ingest_and_features_never_hold_the_recording_as_float64(tmp_path):
+    rate, clip = 8000, 8000
+    rng = np.random.default_rng(4)
+    entries = []
+    for i in range(60):
+        wavfile.write(
+            tmp_path / f"clip{i:02d}.wav", rate, rng.integers(-3000, 3000, size=clip).astype(np.int16)
+        )
+        entries.append(ManifestEntry(f"clip{i:02d}.wav", "x", 0.0, clip / rate))
+    cfg = WindowingConfig(window_len=200)  # 2400 windows: many blocks of them
+    tracemalloc.start()
+    try:
+        recording, _ = assemble_composite(entries, base_dir=tmp_path)
+        features = stft_features(recording, cfg, m=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert features.n_windows == 2400
+    assert peak < 8 * recording.n_samples
