@@ -10,7 +10,7 @@ import numpy.typing as npt
 from scipy import sparse
 
 SCALE_FLOOR = 1e-12
-BLOCK_ROWS = 512  # rows per block of the distance pass
+BLOCK_ROWS = 512  # rows and columns per tile of the distance pass
 
 
 class ZeroNormError(ValueError):
@@ -25,12 +25,17 @@ class ScaleError(ValueError):
     """No positive local scale exists for some vertex."""
 
 
-def pairwise_cosine_distances(features: npt.ArrayLike) -> Iterator[npt.NDArray[np.float64]]:
-    """Cosine distances between feature rows, one block of consecutive rows at a time.
+def pairwise_cosine_distances(
+    features: npt.ArrayLike,
+) -> Iterator[tuple[int, int, npt.NDArray[np.float64]]]:
+    """Cosine distances between feature rows, as the upper-triangle tiles of their matrix.
 
-    Each block holds the distances from up to `BLOCK_ROWS` rows to every
-    row, clipped to [0, 2], with each row's distance to itself 0.  The rows
-    are normalized once, at the call, so a zero-norm row fails there.
+    Yields `(row0, col0, tile)`: the distances from the rows `row0...` to the
+    columns `col0...`, up to `BLOCK_ROWS` of each, clipped to [0, 2], with
+    `col0 >= row0`.  The diagonal tiles come first, so that each row's
+    first tile holds its own block's distances; a diagonal tile holds each
+    row's distance to itself as 0.  The rows are normalized once, at the
+    call, so a zero-norm row fails there.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -41,15 +46,18 @@ def pairwise_cosine_distances(features: npt.ArrayLike) -> Iterator[npt.NDArray[n
         raise ZeroNormError(f"zero-norm feature rows: {bad.tolist()}")
     unit = X / norms[:, None]
 
-    def blocks() -> Iterator[npt.NDArray[np.float64]]:
-        for start in range(0, unit.shape[0], BLOCK_ROWS):
-            d = 1.0 - unit[start : start + BLOCK_ROWS] @ unit.T
+    def tiles() -> Iterator[tuple[int, int, npt.NDArray[np.float64]]]:
+        starts = range(0, unit.shape[0], BLOCK_ROWS)
+        for row0, col0 in [(r, r) for r in starts] + [(r, c) for r in starts for c in starts if c > r]:
+            # a diagonal tile is `U_I @ U_I.T`, for which numpy calls syrk
+            d = unit[row0 : row0 + BLOCK_ROWS] @ unit[col0 : col0 + BLOCK_ROWS].T
+            np.subtract(1.0, d, out=d)
             np.clip(d, 0.0, 2.0, out=d)
-            rows = np.arange(d.shape[0])
-            d[rows, start + rows] = 0.0
-            yield d
+            if row0 == col0:
+                np.fill_diagonal(d, 0.0)
+            yield row0, col0, d
 
-    return blocks()
+    return tiles()
 
 
 def _canonical_csr(matrix: npt.ArrayLike | sparse.sparray, name: str) -> sparse.csr_array:
@@ -113,21 +121,28 @@ def knn_graph(features: npt.ArrayLike, neighbors: int = 15) -> SimilarityGraph:
     """Mutual-OR nearest-neighbor graph with locally scaled Gaussian weights.
 
     Distances are cosine.  Edge (i, j) exists iff j is among i's `neighbors`
-    nearest or i among j's.  The distances are formed one block of rows at
-    a time, so no n x n array is ever held.
+    nearest or i among j's.  Only the upper-triangle tiles of the distance
+    matrix are formed, one at a time, so each distance is computed once and
+    no n x n array, nor any block of whole rows, is ever held.
     """
-    return knn_graph_from_distances(pairwise_cosine_distances(features), neighbors)
+    return knn_graph_from_distances(pairwise_cosine_distances(features), len(features), neighbors)
+
+
+_NO_COLUMN = np.iinfo(np.intp).max  # an empty slot of a nearest list sorts last
 
 
 def knn_graph_from_distances(
-    distances: Iterable[npt.ArrayLike], neighbors: int = 15
+    tiles: Iterable[tuple[int, int, npt.ArrayLike]], n: int, neighbors: int = 15
 ) -> SimilarityGraph:
-    """Build the neighborhood graph from the rows of a symmetric distance matrix.
+    """Build the neighborhood graph on n vertices from the tiles of a symmetric distance matrix.
 
-    `distances` yields the rows in order, in blocks of any height: a full
-    matrix passes as `[d]`, or as `d` itself, whose rows are blocks of
-    height one.  Each block is cut down to its rows' nearest sets before the
-    next one is read, and each edge keeps the distance its block gave it.
+    `tiles` yields `(row0, col0, tile)` triples, in any order, that together
+    cover the upper triangle once: a tile with `col0 > row0` stands for
+    itself and its transpose, and one with `col0 == row0` is a square block
+    on the diagonal, whose self entries are ignored.  A full matrix `d`
+    passes as `[(0, 0, d)]`.  Each tile is folded into every row's running
+    list of its `neighbors` nearest before the next one is read, so each
+    edge keeps the one distance its tile gave it.
 
     The local scale of vertex i is its distance to its `neighbors`-th
     nearest neighbor (ties broken toward the smaller index).  A scale below
@@ -135,55 +150,89 @@ def knn_graph_from_distances(
     floor; if none exists the construction fails.  Edge weight:
     exp(-d_ij^2 / (s_i * s_j)).
     """
-    rows, cols, dists, scales = [], [], [], []
-    n = first = 0
-    for block in distances:
-        d = np.atleast_2d(np.asarray(block, dtype=np.float64))
-        b, n = d.shape
-        if not 1 <= neighbors <= n - 1:
-            raise ValueError(f"neighbors must lie in [1, {n - 1}], got {neighbors}")
-        local = np.arange(b)
-        own = (local, first + local)  # each row's entry for itself, never a neighbor
-        part = d.copy()
-        part[own] = np.inf
-        part.partition(neighbors - 1, axis=1)
-        scale = part[:, neighbors - 1].copy()  # a copy, so the block can go now
-        del part
-        # the nearest set: every distance below the neighbors-th, then as
-        # many of the distances equal to it as fit, smaller column index first
-        mask = d < scale[:, None]
-        ties = d == scale[:, None]
-        mask[own] = ties[own] = False
-        room = neighbors - mask.sum(axis=1)
-        crowded = ties.sum(axis=1) > room
-        if crowded.any():
-            ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= room[crowded, None]
-        mask |= ties
-        for i in np.flatnonzero(scale < SCALE_FLOOR):
-            # distances below the floor are rounding noise from coincident
-            # points, not usable scales
-            row = np.delete(d[i], first + i)
-            positive = row[(row >= SCALE_FLOOR) & np.isfinite(row)]
-            if positive.size == 0:
-                raise ScaleError(
-                    f"vertex {first + i}: every other point coincides with it; "
-                    "no positive scale exists"
-                )
-            scale[i] = positive.min()
-        r, c = np.nonzero(mask)
-        rows.append(first + r)
-        cols.append(c)
-        dists.append(d[r, c])
-        scales.append(scale)
-        first += b
-    if first != n:
-        raise ValueError(f"distances must be square: {first} rows of {n} columns")
-    i, j, d = np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
-    s = np.concatenate(scales)
-    chosen = sparse.csr_array((np.exp(-(d**2) / (s[i] * s[j])), (i, j)), shape=(n, n))
+    if not 1 <= neighbors <= n - 1:
+        raise ValueError(f"neighbors must lie in [1, {n - 1}], got {neighbors}")
+    # each row's nearest (distance, column) pairs, sorted by distance, then column
+    near_d = np.full((n, neighbors), np.inf)
+    near_c = np.full((n, neighbors), _NO_COLUMN)
+    above = np.full(n, np.inf)  # each row's smallest distance at or above the floor
+    covered = np.zeros(n, dtype=np.int64)  # columns each row has seen
+    for row0, col0, tile in tiles:
+        d = np.asarray(tile, dtype=np.float64)
+        _fold(d, row0, col0, row0 == col0, near_d, near_c, above)
+        covered[row0 : row0 + d.shape[0]] += d.shape[1]
+        if col0 != row0:
+            _fold(d.T, col0, row0, False, near_d, near_c, above)
+            covered[col0 : col0 + d.shape[1]] += d.shape[0]
+    if np.any(covered != n):
+        raise ValueError(f"the tiles must cover the upper triangle of an {n} x {n} matrix once")
+    scales = near_d[:, -1].copy()
+    # distances below the floor are rounding noise from coincident points,
+    # not usable scales
+    low = np.flatnonzero(scales < SCALE_FLOOR)
+    lonely = low[np.isinf(above[low])]
+    if lonely.size:
+        raise ScaleError(
+            f"vertex {lonely[0]}: every other point coincides with it; no positive scale exists"
+        )
+    scales[low] = above[low]
+    i, j, d = np.repeat(np.arange(n), neighbors), near_c.ravel(), near_d.ravel()
+    chosen = sparse.csr_array((np.exp(-(d**2) / (scales[i] * scales[j])), (i, j)), shape=(n, n))
     # the union of both directions; an edge chosen from both ends has one weight
     weights = chosen.maximum(chosen.T)
-    return SimilarityGraph(weights=weights, scales=s, neighbors=neighbors)
+    return SimilarityGraph(weights=weights, scales=scales, neighbors=neighbors)
+
+
+def _fold(
+    d: npt.NDArray[np.float64],
+    row0: int,
+    col0: int,
+    diagonal: bool,
+    near_d: npt.NDArray[np.float64],
+    near_c: npt.NDArray[np.intp],
+    above: npt.NDArray[np.float64],
+) -> None:
+    """Fold the distances d from rows row0... to columns col0... into those rows' lists.
+
+    `d` may be a transposed view; numpy then compares it in its own memory
+    order.  On a diagonal tile each row's own entry is skipped.
+    """
+    k = near_d.shape[1]
+    rows = slice(row0, row0 + d.shape[0])
+    # an entry can change a row's state only up to its k-th distance so far
+    # or, while that lies under the floor, up to its smallest distance at or
+    # above the floor; ties pass, and the sort below keeps the smaller column
+    limit = np.maximum(near_d[rows, -1], above[rows])
+    fresh = np.flatnonzero(np.isinf(limit))
+    offered = d.shape[1] - diagonal  # columns a row can take from this tile
+    if fresh.size and offered > k:
+        # a row that has no k entries yet takes at most this tile's k nearest
+        part = d[fresh]
+        if diagonal:
+            part[np.arange(fresh.size), fresh] = np.inf
+        part.partition(k - 1, axis=1)
+        kth = part[:, k - 1].copy()  # a copy, so the partitioned rows can go now
+        del part
+        limit[fresh] = np.where(kth < SCALE_FLOOR, np.inf, kth)
+    mask = d <= limit[:, None]
+    if diagonal:
+        np.fill_diagonal(mask, False)
+    # row by row, columns ascending; np.nonzero on 2-D is ~10x slower
+    r, c = np.divmod(np.flatnonzero(mask), d.shape[1])
+    if r.size == 0:
+        return
+    touched, start, count = np.unique(r, return_index=True, return_counts=True)
+    # each touched row's list, then its new entries, merged by (distance, column)
+    slots = (np.repeat(np.arange(touched.size), count), k + np.arange(r.size) - np.repeat(start, count))
+    pad_d = np.full((touched.size, k + count.max()), np.inf)
+    pad_c = np.full(pad_d.shape, _NO_COLUMN)
+    g = row0 + touched
+    pad_d[:, :k], pad_c[:, :k] = near_d[g], near_c[g]
+    pad_d[slots], pad_c[slots] = d[r, c], col0 + c
+    order = np.lexsort((pad_c, pad_d), axis=1)[:, :k]
+    near_d[g] = np.take_along_axis(pad_d, order, axis=1)
+    near_c[g] = np.take_along_axis(pad_c, order, axis=1)
+    above[g] = np.minimum(above[g], np.where(pad_d >= SCALE_FLOOR, pad_d, np.inf).min(axis=1))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .spectral import (
     kmeans,
     spectral_cluster,
 )
-from .synth import default_vehicle_bank, gen_vehicle_audio
+from .synth import CLIP_S, PASSES, SAMPLE_RATE, default_vehicle_bank, gen_vehicle_audio
 
 METHODS = ("spectral", "incres", "incres-embedding", "both")
 
@@ -268,6 +268,13 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
     out = stages.out
 
+    def check_length(n_samples: int) -> None:
+        if n_samples < cfg.window_len:
+            raise ConfigError(
+                f"the input has {n_samples} samples, "
+                f"fewer than one window of window_len={cfg.window_len}"
+            )
+
     with stages.stage("setup"):
         out.mkdir(parents=True, exist_ok=True)
         if cfg.manifest is not None and not Path(cfg.manifest).is_file():
@@ -277,7 +284,10 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
         if cfg.manifest is not None:
             entries, base_dir = read_manifest(cfg.manifest), Path(cfg.manifest).parent
         else:
-            synthetic, synthetic_spans = gen_vehicle_audio(default_vehicle_bank(), rng_seed=cfg.seed)
+            bank = default_vehicle_bank()
+            # the synthetic input's length is known before anything is made or written
+            check_length(len(bank) * PASSES * round(CLIP_S * SAMPLE_RATE))
+            synthetic, synthetic_spans = gen_vehicle_audio(bank, rng_seed=cfg.seed)
             write_wav(synthetic, stages.track(out / "synthetic.wav"), encoding="float32")
             del synthetic  # ingest reads it back from the file
             entries = [
@@ -294,11 +304,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
 
     with stages.stage("ingest"):
         recording, spans = assemble_composite(entries, base_dir=base_dir)
-        if recording.n_samples < cfg.window_len:
-            raise ConfigError(
-                f"the input has {recording.n_samples} samples, "
-                f"fewer than one window of window_len={cfg.window_len}"
-            )
+        check_length(recording.n_samples)
 
     with stages.stage("features"):
         features = stft_features(recording, cfg.windowing(), m=cfg.m)

@@ -69,11 +69,11 @@ def embedding_svg(matrix: np.ndarray) -> str:
     n, p = M.shape
     lo, hi = float(M.min()), float(M.max())
     xs = _scale(np.arange(n, dtype=float), 0.0, float(max(1, n - 1)), MARGIN + 6, WIDTH - MARGIN - 6)
-    xs = xs.tolist()
+    xs = [f"{x:.2f}," for x in xs.tolist()]  # formatted once, shared by every column
     body = _axes("window index", "coordinate")
     for j in range(p):
         ys = _scale(M[:, j], lo, hi, HEIGHT - MARGIN - 10, MARGIN + 10)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys.tolist()))
+        pts = " ".join([x + f"{y:.2f}" for x, y in zip(xs, ys.tolist())])
         color = PALETTE[j % len(PALETTE)]
         body += f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
     return _svg(body)
@@ -133,18 +133,14 @@ def timeline_svg(clusters: np.ndarray, truth: list[str]) -> str:
     body = _axes("window index", "")
     body += f'<text x="{MARGIN}" y="{MARGIN - 10}" font-size="13">top: true class, bottom: cluster</text>\n'
     band_h = (HEIGHT - 2 * MARGIN - 30) / 2
+    y_top, y_bottom, h = f"{MARGIN:.2f}", f"{MARGIN + band_h + 30:.2f}", f"{band_h:.2f}"
+    rects = []
     for i in range(n):
-        w = xs[i + 1] - xs[i]
-        body += (
-            f'<rect x="{xs[i]:.2f}" y="{MARGIN:.2f}" width="{w + 0.2:.2f}" '
-            f'height="{band_h:.2f}" fill="{colors[truth[i]]}"/>\n'
-        )
-        cc = PALETTE[labels[i] % len(PALETTE)]
-        body += (
-            f'<rect x="{xs[i]:.2f}" y="{MARGIN + band_h + 30:.2f}" width="{w + 0.2:.2f}" '
-            f'height="{band_h:.2f}" fill="{cc}"/>\n'
-        )
-    return _svg(body)
+        x, w = f"{xs[i]:.2f}", f"{xs[i + 1] - xs[i] + 0.2:.2f}"
+        top, bottom = colors[truth[i]], PALETTE[labels[i] % len(PALETTE)]
+        rects.append(f'<rect x="{x}" y="{y_top}" width="{w}" height="{h}" fill="{top}"/>\n')
+        rects.append(f'<rect x="{x}" y="{y_bottom}" width="{w}" height="{h}" fill="{bottom}"/>\n')
+    return _svg(body + "".join(rects))
 
 
 def waveform_svg(envelope: np.ndarray) -> str:

@@ -12,7 +12,7 @@ import numpy.typing as npt
 from scipy.io import wavfile
 
 
-STFT_BLOCK_ROWS = 256  # windows transformed together in stft_features
+STFT_BLOCK_ROWS = 32  # windows transformed together in stft_features
 WAVEFORM_COLUMNS = 600  # time columns of the min/max envelope stft_features keeps
 
 

@@ -10,6 +10,10 @@ import numpy.typing as npt
 from .graph import SimilarityGraph
 from .signal import AudioSignal, LabelSpan
 
+SAMPLE_RATE = 48000
+CLIP_S = 2.0  # seconds per pass-by clip
+PASSES = 3  # times each vehicle drives by in the default passages
+
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -143,14 +147,14 @@ def gen_vehicle_audio(
     specs: tuple[VehicleSpec, ...],
     passages: tuple[int, ...] | None = None,
     *,
-    sample_rate: int = 48000,
-    clip_s: float = 2.0,
+    sample_rate: int = SAMPLE_RATE,
+    clip_s: float = CLIP_S,
     rng_seed: int = 0,
 ) -> tuple[AudioSignal, list[LabelSpan]]:
     """Concatenated pass-by clips plus their true label spans.
 
     `passages` lists which vehicle drives by in each clip; the default cycles
-    through all vehicles three times.  Fundamentals of distinct vehicles must
+    through all vehicles `PASSES` times.  Fundamentals of distinct vehicles must
     differ by at least 15%.  Harmonics are enveloped per clip; broadband noise
     stays constant, so clip edges carry the weakest signatures.
     """
@@ -165,7 +169,7 @@ def gen_vehicle_audio(
                     f"fundamentals of {specs[i].name!r} and {specs[j].name!r} differ by under 15%"
                 )
     if passages is None:
-        passages = tuple(range(len(specs))) * 3
+        passages = tuple(range(len(specs))) * PASSES
     if not passages:
         raise ValueError("at least one passage is required")
     if any(not 0 <= v < len(specs) for v in passages):

@@ -16,6 +16,16 @@ def as_sets(labels: npt.ArrayLike) -> frozenset[frozenset[int]]:
     return frozenset(frozenset(g) for g in groups.values())
 
 
+def distance_matrix(tiles, n: int) -> npt.NDArray[np.float64]:
+    """The full n x n matrix of upper-triangle distance tiles and their transposes."""
+    D = np.zeros((n, n))
+    for row0, col0, tile in tiles:
+        h, w = tile.shape
+        D[row0 : row0 + h, col0 : col0 + w] = tile
+        D[col0 : col0 + w, row0 : row0 + h] = tile.T
+    return D
+
+
 def waveform_by_loop(samples, sample_rate, columns=600):
     """Envelope polygon with each column's extremes taken by a slice loop (reference)."""
     x = np.asarray(samples, dtype=np.float64)

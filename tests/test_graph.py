@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _helpers import distance_matrix
 
 import passby.graph as graph_module
 from passby.graph import (
@@ -61,7 +63,7 @@ def test_cosine_distance_zero_vector_rejected():
 def test_pairwise_matches_scalar_routine():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(12, 5))
-    D = np.vstack(list(pairwise_cosine_distances(X)))
+    D = distance_matrix(pairwise_cosine_distances(X), 12)
     for i in range(12):
         for j in range(12):
             assert D[i, j] == pytest.approx(cosine_distance(X[i], X[j]), abs=1e-12)
@@ -81,8 +83,8 @@ def test_pairwise_scale_invariance():
     rng = np.random.default_rng(1)
     X = _random_features(rng, 20, 8)
     scales = rng.uniform(0.5, 50.0, size=(20, 1))
-    base = np.vstack(list(pairwise_cosine_distances(X)))
-    scaled = np.vstack(list(pairwise_cosine_distances(X * scales)))
+    base = distance_matrix(pairwise_cosine_distances(X), 20)
+    scaled = distance_matrix(pairwise_cosine_distances(X * scales), 20)
     assert np.max(np.abs(base - scaled)) < 1e-12
 
 
@@ -95,7 +97,7 @@ def test_knn_three_point_line():
     # edges are (0,1) and (1,2) with weights exp(-1^2/(1*1)) and
     # exp(-2^2/(1*2)).
     D = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-    g = knn_graph_from_distances(D, neighbors=1)
+    g = knn_graph_from_distances([(0, 0, D)], 3, neighbors=1)
     assert np.array_equal(g.scales, np.array([1.0, 1.0, 2.0]))
     assert g.weights[0, 1] == pytest.approx(math.exp(-1.0), abs=1e-15)
     assert g.weights[1, 2] == pytest.approx(math.exp(-2.0), abs=1e-15)
@@ -114,7 +116,7 @@ def test_knn_union_rule_keeps_one_sided_choices():
             [2.0, 2.0, 2.0, 0.0],
         ]
     )
-    g = knn_graph_from_distances(D, neighbors=1)
+    g = knn_graph_from_distances([(0, 0, D)], 4, neighbors=1)
     assert g.weights[0, 3] > 0.0
     assert g.weights[3, 0] == g.weights[0, 3]
     # equidistant candidates resolve toward the smaller index, so vertex 0
@@ -170,7 +172,7 @@ def test_knn_duplicate_rows_use_positive_scale_floor():
     X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     g = knn_graph(X, neighbors=1)
     assert np.all(g.scales >= SCALE_FLOOR)
-    d01 = next(pairwise_cosine_distances(X))[0]
+    d01 = next(pairwise_cosine_distances(X))[2][0]
     positives = d01[d01 > SCALE_FLOOR]
     assert g.scales[0] == pytest.approx(positives.min())
 
@@ -196,6 +198,12 @@ def _knn_by_stable_argsort(d, neighbors):
     return weights, scales
 
 
+def _upper_tiles(d, height):
+    """The upper-triangle tiles of d, `height` rows and columns each, as knn_graph feeds them."""
+    starts = range(0, d.shape[0], height)
+    return [(r, c, d[r : r + height, c : c + height]) for r in starts for c in starts if c >= r]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_knn_selection_matches_stable_argsort(data):
@@ -205,17 +213,59 @@ def test_knn_selection_matches_stable_argsort(data):
     upper = data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
     d = np.triu(np.array(upper, dtype=np.float64).reshape(n, n), k=1)
     d = d + d.T
-    # the rows arrive in blocks, as knn_graph feeds them
-    height = data.draw(st.integers(1, n))
-    blocks = [d[start : start + height] for start in range(0, n, height)]
+    # the matrix arrives as upper tiles of a drawn height, in a drawn order,
+    # so that the ties at a row's boundary fall in different tiles
+    tiles = data.draw(st.permutations(_upper_tiles(d, data.draw(st.integers(1, n)))))
     expected = _knn_by_stable_argsort(d, neighbors)
     if expected is None:
         with pytest.raises(ScaleError):
-            knn_graph_from_distances(blocks, neighbors)
+            knn_graph_from_distances(tiles, n, neighbors)
         return
-    g = knn_graph_from_distances(blocks, neighbors)
+    g = knn_graph_from_distances(tiles, n, neighbors)
     assert np.array_equal(g.weights.toarray(), expected[0])
     assert np.array_equal(g.scales, expected[1])
+
+
+@pytest.mark.parametrize("neighbors", [1, 15, 600])
+def test_knn_graph_across_tiles_matches_stable_argsort(neighbors):
+    # 1100 rows: two full tiles and a partial one.  Rows 0, 700 and 1099 point
+    # the same way (so do 3 and 1050), so that k-th-distance ties and the
+    # coincident rows that hit the scale floor (neighbors=1) cross tiles;
+    # 600 nearest fill each list over several tiles.
+    rng = np.random.default_rng(11)
+    X = _random_features(rng, 1100, 6)
+    X[700], X[1099] = X[0], 2.0 * X[0]
+    X[1050] = X[3]
+    D = distance_matrix(pairwise_cosine_distances(X), 1100)
+    g = knn_graph(X, neighbors)
+    weights, scales = _knn_by_stable_argsort(D, neighbors)
+    assert np.array_equal(g.weights.toarray(), weights)
+    assert np.array_equal(g.scales, scales)
+    if neighbors == 1:
+        assert D[0, 700] < SCALE_FLOOR and g.scales[0] >= SCALE_FLOOR
+
+
+def test_knn_graph_holds_no_block_of_whole_rows():
+    rng = np.random.default_rng(12)
+    X = _random_features(rng, 1500, 8)
+    tracemalloc.start()
+    try:
+        knn_graph(X, neighbors=15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < graph_module.BLOCK_ROWS * 1500 * 8
+
+
+def test_knn_tiles_must_cover_the_upper_triangle_once():
+    d = np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0)))
+    tiles = _upper_tiles(d, 2)
+    with pytest.raises(ValueError):
+        knn_graph_from_distances(tiles[:-1], 6, neighbors=2)
+    with pytest.raises(ValueError):
+        knn_graph_from_distances(tiles + tiles[-1:], 6, neighbors=2)
+    with pytest.raises(ValueError):
+        knn_graph_from_distances(tiles, 6, neighbors=6)
 
 
 @settings(max_examples=200, deadline=None)

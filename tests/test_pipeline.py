@@ -32,7 +32,7 @@ from passby.pipeline import (
     exit_code_for,
     run_pipeline,
 )
-from passby.plots import heatmap_svg, timeline_svg, waveform_svg
+from passby.plots import embedding_svg, heatmap_svg, timeline_svg, waveform_svg
 from passby.signal import (
     AudioIOError,
     AudioSignal,
@@ -276,13 +276,30 @@ def test_cli_smoothing_wider_than_m_fails_before_any_stage(tmp_path, capsys):
     assert json.loads((out / "report.json").read_text())["n_coefficients"] == 1500
 
 
-def test_cli_window_longer_than_the_input_is_config_error(tmp_path, capsys):
+def test_cli_window_longer_than_the_input_is_config_error(tmp_path, capsys, monkeypatch):
+    # without a manifest the input's length is known before synthesis, so
+    # nothing is synthesized or written
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the synthetic input was generated")
+
+    monkeypatch.setattr("passby.pipeline.gen_vehicle_audio", no_synthesis)
     out = tmp_path / "o"
     code = main(["--window-len", "1000000", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert "stage 'ingest' failed" in err and "864000 samples" in err
+    assert "stage 'input' failed" in err and "864000 samples" in err
     assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_cli_window_longer_than_a_manifest_input_is_config_error(tmp_path, capsys):
+    # a manifest's length is known once its crops are read
+    write_wav(AudioSignal(samples=np.zeros(3000), sample_rate=8000), tmp_path / "a.wav", "pcm16")
+    write_manifest([ManifestEntry("a.wav", "car", 0.0, 0.25)], tmp_path / "m.csv")
+    out = tmp_path / "o"
+    code = main(["--manifest", str(tmp_path / "m.csv"), "--window-len", "4000", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "stage 'ingest' failed" in err and "2000 samples" in err
 
 
 def test_config_from_file_merges_overrides(tmp_path):
@@ -658,6 +675,53 @@ def test_heatmap_keeps_a_lone_edge_visible():
     # one-pixel cells: the edge lands in bins 4321*612//5000 = 528 and 1234*612//5000 = 151
     assert '<rect x="582.00" y="205.00" width="1.35" height="1.35" fill="rgb(255,255,255)"/>' in svg
     assert '<rect x="205.00" y="582.00" width="1.35" height="1.35" fill="rgb(255,255,255)"/>' in svg
+
+
+def _embedding_by_loop(M):
+    """One polyline per column, each point formatted on its own (reference)."""
+    from passby.plots import HEIGHT, MARGIN, PALETTE, WIDTH, _axes, _scale, _svg
+
+    n, p = M.shape
+    lo, hi = float(M.min()), float(M.max())
+    xs = _scale(np.arange(n, dtype=float), 0.0, float(max(1, n - 1)), MARGIN + 6, WIDTH - MARGIN - 6)
+    body = _axes("window index", "coordinate")
+    for j in range(p):
+        ys = _scale(M[:, j], lo, hi, HEIGHT - MARGIN - 10, MARGIN + 10)
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
+        body += f'<polyline points="{pts}" fill="none" stroke="{PALETTE[j % len(PALETTE)]}" stroke-width="1.5"/>\n'
+    return _svg(body)
+
+
+def _timeline_by_loop(clusters, truth):
+    """Both bands' rects, every number formatted per window (reference)."""
+    from passby.plots import HEIGHT, MARGIN, PALETTE, WIDTH, _axes, _scale, _svg
+
+    n = len(clusters)
+    colors = {}
+    for name in truth:
+        colors.setdefault(name, PALETTE[len(colors) % len(PALETTE)])
+    xs = _scale(np.arange(n + 1, dtype=float), 0.0, float(n), MARGIN, WIDTH - MARGIN).tolist()
+    body = _axes("window index", "")
+    body += f'<text x="{MARGIN}" y="{MARGIN - 10}" font-size="13">top: true class, bottom: cluster</text>\n'
+    band_h = (HEIGHT - 2 * MARGIN - 30) / 2
+    for i in range(n):
+        w = xs[i + 1] - xs[i]
+        for y, fill in ((MARGIN, colors[truth[i]]), (MARGIN + band_h + 30, PALETTE[clusters[i] % len(PALETTE)])):
+            body += (
+                f'<rect x="{xs[i]:.2f}" y="{y:.2f}" width="{w + 0.2:.2f}" '
+                f'height="{band_h:.2f}" fill="{fill}"/>\n'
+            )
+    return _svg(body)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 144, 2880])
+def test_embedding_and_timeline_svgs_match_the_per_point_loops(n):
+    rng = np.random.default_rng(n)
+    M = rng.normal(size=(n, 20)) * 0.02
+    clusters = rng.integers(0, 3, size=n)
+    truth = [("car", "truck", "van")[t] for t in rng.integers(0, 3, size=n)]
+    assert embedding_svg(M) == _embedding_by_loop(M)
+    assert timeline_svg(clusters, truth) == _timeline_by_loop(clusters.tolist(), truth)
 
 
 def test_timeline_uses_distinct_band_colors():

@@ -576,7 +576,7 @@ def _mixed_format_files(tmp_path, rate, frames):
     return ["i16", "u8", "i24", "i16-stereo", "f32"]
 
 
-@pytest.mark.parametrize("block_rows", [3, 256])
+@pytest.mark.parametrize("block_rows", [3, 32, 256])
 @pytest.mark.parametrize("shape", ["straddling", "below-one-block", "whole-blocks"])
 @pytest.mark.parametrize(
     "cfg",

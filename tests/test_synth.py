@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from _helpers import distance_matrix
 
 from passby.evaluate import confusion, purity
 from passby.graph import knn_graph, laplacian, pairwise_cosine_distances
@@ -176,7 +177,7 @@ def test_clean_clips_have_identical_window_features():
     bank = (_clean_spec("a", 32.0), _clean_spec("b", 64.0))
     signal, _ = gen_vehicle_audio(bank, passages=(0, 1), rng_seed=0)
     fm = stft_features(signal, WindowingConfig(), m=1500)
-    D = np.vstack(list(pairwise_cosine_distances(fm.values)))
+    D = distance_matrix(pairwise_cosine_distances(fm.values), fm.n_windows)
     n = fm.n_windows
     half = n // 2
     within_a = D[:half, :half][np.triu_indices(half, k=1)]
@@ -190,7 +191,7 @@ def test_clean_clips_have_identical_window_features():
 def test_default_bank_within_class_tighter_than_between():
     signal, spans = gen_vehicle_audio(default_vehicle_bank(), rng_seed=3)
     fm = stft_features(signal, WindowingConfig(), m=1500)
-    D = np.vstack(list(pairwise_cosine_distances(fm.values)))
+    D = distance_matrix(pairwise_cosine_distances(fm.values), fm.n_windows)
     mid = fm.start_times + fm.window_len / (2 * fm.sample_rate)
     truth = np.array([[s.label for s in spans if s.start_s <= t < s.end_s][0] for t in mid])
     same = truth[:, None] == truth[None, :]

@@ -7,12 +7,15 @@ every passby command.  Inputs come from bench/workloads.py::prepare, cached
 under --root and generated with OLD_SRC.  Every artifact of the two runs must
 be byte-identical, and so must report.json without `timings` and
 `parameters.out_dir`, the exit code and the console output (out directory
-masked).  Prints each difference and exits 1 if there is any.
+masked).  Prints each difference and exits 1 if there is any; a CSV or JSON
+file that differs only in its numbers also gets the largest relative
+difference between them.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -31,13 +34,64 @@ def _run(src: Path, args: list[str], out: Path) -> tuple[int, str]:
     return proc.returncode, (proc.stdout + proc.stderr).replace(str(out), "<out>")
 
 
-def _comparable(path: Path) -> bytes:
-    if path.name != "report.json":
-        return path.read_bytes()
+def _report(path: Path) -> dict:
     report = json.loads(path.read_text())
     report.pop("timings", None)
     report.get("parameters", {}).pop("out_dir", None)
-    return json.dumps(report, sort_keys=True).encode()
+    return report
+
+
+def _comparable(path: Path) -> bytes:
+    if path.name != "report.json":
+        return path.read_bytes()
+    return json.dumps(_report(path), sort_keys=True).encode()
+
+
+def _leaves(path: Path) -> list | None:
+    """A CSV file's cells, row ends marked, or a JSON file's keys and values, in order."""
+
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return cell
+
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return [number(cell) for row in csv.reader(fh) for cell in [*row, "\n"]]
+    if path.suffix != ".json":
+        return None
+    out = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key in sorted(node):
+                out.append(key)
+                walk(node[key])
+        elif isinstance(node, list):
+            out.append(len(node))
+            for item in node:
+                walk(item)
+        else:
+            out.append(node)
+
+    walk(_report(path) if path.name == "report.json" else json.loads(path.read_text()))
+    return out
+
+
+def _largest_relative_difference(a: Path, b: Path) -> float | None:
+    """max |x - y| / max(|x|, |y|) over the numbers of two files that differ only in numbers."""
+    x, y = _leaves(a), _leaves(b)
+    if x is None or y is None or len(x) != len(y):
+        return None
+    worst = 0.0
+    for p, q in zip(x, y):
+        if p == q:
+            continue
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (p, q)):
+            return None
+        worst = max(worst, abs(p - q) / max(abs(p), abs(q)))
+    return worst
 
 
 def main() -> int:
@@ -69,7 +123,8 @@ def main() -> int:
             for rel in sorted(files):
                 a, b = old_out / rel, new_out / rel
                 if not (a.is_file() and b.is_file() and _comparable(a) == _comparable(b)):
-                    found.append(str(rel))
+                    worst = _largest_relative_difference(a, b) if a.is_file() and b.is_file() else None
+                    found.append(str(rel) if worst is None else f"{rel} (largest relative difference {worst:.2g})")
             print(f"{name} seed {seed}: {'same' if not found else 'DIFFERENT: ' + ', '.join(found)}")
             differences += len(found)
     return 1 if differences else 0
