@@ -12,7 +12,7 @@ component's planted mass spread over the component in proportion to degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.typing as npt
@@ -26,14 +26,11 @@ SeedMatrix = npt.NDArray[np.float64]  # (n, k); column c = mass planted for clus
 
 @dataclass(frozen=True)
 class IncresConfig:
-    k: int
     iterations: int = 200
     seed_rate: float = 0.1
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if self.seed_rate <= 0.0:
@@ -134,8 +131,8 @@ def harvest(seed_mass: SeedMatrix, previous_labels: npt.ArrayLike) -> npt.NDArra
     return labels
 
 
-def incres_cluster(graph: SimilarityGraph, cfg: IncresConfig) -> IncresResult:
-    """Run the full plant/grow/harvest loop from a uniformly random start.
+def incres_cluster(graph: SimilarityGraph, k: int, cfg: IncresConfig = IncresConfig()) -> IncresResult:
+    """Run the full plant/grow/harvest loop for k clusters from a uniformly random start.
 
     A round whose seeds miss some component skips `grow` and harvests the
     stationary limit of the walk; its unseeded components hold no mass, so
@@ -143,21 +140,21 @@ def incres_cluster(graph: SimilarityGraph, cfg: IncresConfig) -> IncresResult:
     steps and counts as cap-exhausted, since stepping would run to the cap.
     """
     n = graph.n_vertices
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds the {n} vertices available")
+    if not 2 <= k <= n:
+        raise ValueError(f"k must lie in [2, {n}], got {k}")
     P = transition_matrix(graph)
     cap = 10 * n
     component = component_labels(P)
     deg = graph.degrees()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed))
-    labels = rng.integers(0, cfg.k, size=n).astype(np.int64)
+    labels = rng.integers(0, k, size=n).astype(np.int64)
     steps_taken: list[int] = []
     capped: list[bool] = []
     limits: list[bool] = []
-    mass = np.zeros((n, cfg.k))
+    mass = np.zeros((n, k))
     for round_index in range(1, cfg.iterations + 1):
         budget = seeds_for_round(cfg.seed_rate, round_index)
-        mass = plant(Partition(labels=labels, k=cfg.k), budget, rng)
+        mass = plant(Partition(labels=labels, k=k), budget, rng)
         settled = stationary_limit(mass, component, deg)
         # the limit holds mass exactly on the components that hold a seed
         limit = not (settled > 0.0).any(axis=1).all()
@@ -170,7 +167,7 @@ def incres_cluster(graph: SimilarityGraph, cfg: IncresConfig) -> IncresResult:
         capped.append(exhausted)
         limits.append(limit)
     return IncresResult(
-        partition=Partition(labels=labels, k=cfg.k),
+        partition=Partition(labels=labels, k=k),
         seed_mass=mass,
         grow_steps=tuple(steps_taken),
         cap_exhausted=tuple(capped),
@@ -219,7 +216,7 @@ def embedding_column(result: IncresResult) -> npt.NDArray[np.float64]:
 
 
 def incres_embedding(
-    graph: SimilarityGraph, k: int, cfg: IncresConfig
+    graph: SimilarityGraph, k: int, cfg: IncresConfig = IncresConfig()
 ) -> tuple[npt.NDArray[np.float64], list[IncresResult]]:
     """Stack one embedding column per sub-clustering j = 2..k.
 
@@ -232,13 +229,8 @@ def incres_embedding(
     columns = []
     results = []
     for j in range(2, k + 1):
-        sub = IncresConfig(
-            k=j,
-            iterations=cfg.iterations,
-            seed_rate=cfg.seed_rate,
-            rng_seed=int(streams[j - 2].generate_state(1)[0]),
-        )
-        result = incres_cluster(graph, sub)
+        sub = replace(cfg, rng_seed=int(streams[j - 2].generate_state(1)[0]))
+        result = incres_cluster(graph, j, sub)
         columns.append(embedding_column(result))
         results.append(result)
     return np.column_stack(columns), results

@@ -124,32 +124,22 @@ class PipelineConfig:
             object.__setattr__(self, "k", _integer("k", self.k, " >= 2 or 'auto'"))
         for name in ("overlap", "seed_rate"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        try:
-            self.windowing()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.k != "auto" and self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
         if self.k_max < 2:
             raise ConfigError("k_max must be at least 2")
-        if not 1 <= self.m <= self.window_len // 2:
-            raise ConfigError(
-                f"m must lie in [1, window_len // 2] = [1, {self.window_len // 2}], got {self.m}"
-            )
-        if self.smoothing_len is not None and self.smoothing_len > self.m:
-            raise ConfigError(
-                f"smoothing_len {self.smoothing_len} is wider than the m={self.m} coefficients"
-            )
         if self.neighbors < 1:
             raise ConfigError("neighbors must be positive")
-        if self.iterations < 1 or self.restarts < 1:
-            raise ConfigError("iterations and restarts must be positive")
-        if self.seed_rate <= 0.0:
-            raise ConfigError("seed_rate must be positive")
-        if self.seed < 0:
+        if self.seed < 0:  # before the configs below derive seeds from it
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        try:  # each library config checks the limits it holds
+            self.windowing()
+            self.kmeans_config(1)
+            self.incres_config(2)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
@@ -181,7 +171,15 @@ class PipelineConfig:
             overlap=self.overlap,
             taper=self.taper,
             smoothing_len=self.smoothing_len,
+            m=self.m,
         )
+
+    def kmeans_config(self, tag: int) -> KmeansConfig:
+        return KmeansConfig(restarts=self.restarts, seed=_derived_seed(self.seed, tag))
+
+    def incres_config(self, tag: int) -> IncresConfig:
+        rng_seed = _derived_seed(self.seed, tag)
+        return IncresConfig(iterations=self.iterations, seed_rate=self.seed_rate, rng_seed=rng_seed)
 
 
 def _integer(name: str, value: Any, alternative: str = "") -> int:
@@ -307,7 +305,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
         check_length(recording.n_samples)
 
     with stages.stage("features"):
-        features = stft_features(recording, cfg.windowing(), m=cfg.m)
+        features = stft_features(recording, cfg.windowing())
         # nothing after this stage reads the samples: keep the duration and
         # free the crops before the graph is built
         waveform = plots.waveform_svg(features.envelope)
@@ -333,17 +331,6 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
         # with k = auto the graph stage ensured n > k_max, so k_estimated is set
         k_used = k_estimated if cfg.k == "auto" else cfg.k
 
-    def incres_config(tag: int) -> IncresConfig:
-        return IncresConfig(
-            k=k_used,
-            iterations=cfg.iterations,
-            seed_rate=cfg.seed_rate,
-            rng_seed=_derived_seed(cfg.seed, tag),
-        )
-
-    def kmeans_config(tag: int) -> KmeansConfig:
-        return KmeansConfig(restarts=cfg.restarts, seed=_derived_seed(cfg.seed, tag))
-
     methods = ("spectral", "incres") if cfg.method == "both" else (cfg.method,)
     primary = methods[-1]
     method_labels: dict[str, np.ndarray] = {}
@@ -351,11 +338,11 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
     with stages.stage("cluster"):
         for method in methods:
             if method == "spectral":
-                km = spectral_cluster(embedding, k_used, kmeans_config(1))
+                km = spectral_cluster(embedding, k_used, cfg.kmeans_config(1))
                 method_labels[method] = km.partition.labels
                 method_extras[method] = {"wcss": km.wcss, "restart_index": km.restart_index}
             elif method == "incres":
-                res = incres_cluster(graph, incres_config(2))
+                res = incres_cluster(graph, k_used, cfg.incres_config(2))
                 method_labels[method] = res.partition.labels
                 method_extras[method] = {
                     "grow_steps_total": int(sum(res.grow_steps)),
@@ -364,8 +351,8 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
                     "limit_rounds": int(sum(res.limit_rounds)),
                 }
             else:  # incres-embedding
-                E, _ = incres_embedding(graph, k_used, incres_config(3))
-                km = kmeans(E, k_used, kmeans_config(4))
+                E, _ = incres_embedding(graph, k_used, cfg.incres_config(3))
+                km = kmeans(E, k_used, cfg.kmeans_config(4))
                 method_labels[method] = km.partition.labels
                 method_extras[method] = {"wcss": km.wcss, "columns": E.shape[1]}
 

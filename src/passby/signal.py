@@ -61,6 +61,17 @@ class Recording:
     crops: tuple[np.ndarray, ...]
     sample_rate: int
 
+    def __post_init__(self) -> None:
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        if not self.crops:
+            raise ValueError("a recording needs at least one crop")
+        for crop in self.crops:
+            if crop.ndim != 1 and crop.shape[1:] != (2,):
+                raise ValueError(f"a crop must be mono or two-channel, got shape {crop.shape}")
+            if crop.dtype not in (np.uint8, np.int16, np.int32, np.float32, np.float64):
+                raise ValueError(f"crop sample format {crop.dtype} not supported")
+
     @property
     def n_samples(self) -> int:
         return sum(crop.shape[0] for crop in self.crops)
@@ -72,17 +83,19 @@ class Recording:
 
 @dataclass(frozen=True)
 class WindowingConfig:
-    """How a signal is chopped into fixed-length analysis windows.
+    """How a signal is chopped into fixed-length analysis windows, and what each keeps.
 
     `overlap` is a fraction of the window length and must land on a whole
-    number of samples.  `smoothing_len` (odd, optional) switches on a moving
-    mean over each window's coefficient row; edges use truncated averages.
+    number of samples.  Each window keeps its DFT bins 1..m, m at most half
+    the window.  `smoothing_len` (odd, optional, at most m) switches on a
+    moving mean over each window's coefficient row; edges use truncated averages.
     """
 
     window_len: int = 6000
     overlap: float = 0.0
     taper: str = "box"
     smoothing_len: int | None = None
+    m: int = 1500
 
     def __post_init__(self) -> None:
         if self.window_len < 2:
@@ -97,6 +110,10 @@ class WindowingConfig:
         if self.smoothing_len is not None:
             if self.smoothing_len < 1 or self.smoothing_len % 2 == 0:
                 raise ValueError("smoothing_len must be an odd positive integer")
+        if not 1 <= self.m <= self.window_len // 2:
+            raise ValueError(f"m must lie in [1, {self.window_len // 2}], got {self.m}")
+        if self.smoothing_len is not None and self.smoothing_len > self.m:
+            raise ValueError(f"smoothing_len {self.smoothing_len} is wider than the {self.m} coefficients")
 
     @property
     def hop(self) -> int:
@@ -227,7 +244,8 @@ MANIFEST_FIELDS = ("path", "label", "start_s", "duration_s")
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a clip manifest CSV with header path,label,start_s,duration_s."""
     try:
-        with open(path, newline="") as fh:
+        # a spreadsheet's "CSV UTF-8" starts with a byte order mark
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
                 raise ManifestError(
@@ -236,6 +254,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
             entries = []
             for lineno, row in enumerate(reader, start=2):
                 try:
+                    if None in row:
+                        raise ValueError(f"fields beyond {','.join(MANIFEST_FIELDS)}: {row[None]}")
                     entries.append(
                         ManifestEntry(
                             path=row["path"],
@@ -246,7 +266,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                     )
                 except (TypeError, ValueError) as exc:
                     raise ManifestError(f"{path}:{lineno}: bad row: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     if not entries:
         raise ManifestError(f"{path}: manifest lists no clips")
@@ -345,9 +365,9 @@ def _moving_mean(rows: np.ndarray, width: int) -> np.ndarray:
 
 
 def stft_features(
-    signal: Recording | AudioSignal, cfg: WindowingConfig = WindowingConfig(), m: int = 1500
+    signal: Recording | AudioSignal, cfg: WindowingConfig = WindowingConfig()
 ) -> FeatureMatrix:
-    """Magnitudes of DFT bins 1..m for each analysis window, plus the waveform envelope.
+    """Magnitudes of DFT bins 1..cfg.m for each analysis window, plus the waveform envelope.
 
     Uses the unnormalized forward transform.  The DC bin is dropped and a
     trailing partial window is discarded.  The samples are decoded into one
@@ -355,13 +375,9 @@ def stft_features(
     span is transformed as one block, and the samples of the windows still
     open move to the buffer's front, so a window may straddle crops.
     """
-    if m < 1 or m > cfg.window_len // 2:
-        raise ValueError(f"m must lie in [1, {cfg.window_len // 2}], got {m}")
-    if cfg.smoothing_len is not None and cfg.smoothing_len > m:
-        raise ValueError(f"smoothing_len {cfg.smoothing_len} is wider than the {m} coefficients")
     if isinstance(signal, AudioSignal):
         signal = Recording(crops=(signal.samples,), sample_rate=signal.sample_rate)
-    total, w, hop = signal.n_samples, cfg.window_len, cfg.hop
+    total, w, hop, m = signal.n_samples, cfg.window_len, cfg.hop, cfg.m
     if total < w:
         raise ValueError(f"signal has {total} samples; at least one window of {w} required")
     n = (total - w) // hop + 1

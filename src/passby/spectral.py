@@ -19,6 +19,8 @@ RESIDUAL_TOL = 1e-8
 # for 60 pairs and 198 ms for 120.
 LANCZOS_MIN_BLOCK = 256
 LANCZOS_PAIRS_RATIO = 16
+KMEANS_MAX_ITER = 300  # Lloyd iterations per restart, at most
+KMEANS_TOL = 1e-9  # Lloyd stops once WCSS falls by less than this fraction
 
 
 class EigensolverError(RuntimeError):
@@ -167,13 +169,11 @@ class Partition:
 @dataclass(frozen=True)
 class KmeansConfig:
     restarts: int = 20
-    max_iter: int = 300
-    tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.max_iter < 1 or self.tol < 0:
-            raise ValueError("restarts and max_iter must be positive, tol nonnegative")
+        if self.restarts < 1:
+            raise ValueError("restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def kmeans(points: npt.ArrayLike, k: int, cfg: KmeansConfig = KmeansConfig()) ->
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     best: tuple[float, int, np.ndarray] | None = None
     for r, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)):
-        labels, wcss = _lloyd(X, k, np.random.default_rng(stream), cfg.max_iter, cfg.tol)
+        labels, wcss = _lloyd(X, k, np.random.default_rng(stream), KMEANS_MAX_ITER, KMEANS_TOL)
         if best is None or wcss < best[0]:
             best = (wcss, r, labels)
     assert best is not None

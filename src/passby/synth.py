@@ -78,19 +78,16 @@ def gen_block_similarity(
 
 @dataclass(frozen=True)
 class PassageEnvelope:
-    """Rise/fall of a pass-by over one clip: level at the edges, 1.0 mid-clip."""
+    """Rise/fall of a pass-by over one clip: a squared sine from edge_level to 1.0 mid-clip."""
 
     edge_level: float = 0.35
-    power: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.edge_level <= 1.0:
             raise ValueError("edge_level must lie in [0, 1]")
-        if self.power <= 0.0:
-            raise ValueError("power must be positive")
 
-    def at(self, t: npt.NDArray[np.float64], clip_s: float) -> npt.NDArray[np.float64]:
-        bump = np.sin(np.pi * t / clip_s) ** (2.0 * self.power)
+    def at(self, t: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+        bump = np.sin(np.pi * t / CLIP_S) ** 2
         return self.edge_level + (1.0 - self.edge_level) * bump
 
 
@@ -147,11 +144,9 @@ def gen_vehicle_audio(
     specs: tuple[VehicleSpec, ...],
     passages: tuple[int, ...] | None = None,
     *,
-    sample_rate: int = SAMPLE_RATE,
-    clip_s: float = CLIP_S,
     rng_seed: int = 0,
 ) -> tuple[AudioSignal, list[LabelSpan]]:
-    """Concatenated pass-by clips plus their true label spans.
+    """Concatenated `CLIP_S`-second pass-by clips at `SAMPLE_RATE`, plus their true label spans.
 
     `passages` lists which vehicle drives by in each clip; the default cycles
     through all vehicles `PASSES` times.  Fundamentals of distinct vehicles must
@@ -174,10 +169,8 @@ def gen_vehicle_audio(
         raise ValueError("at least one passage is required")
     if any(not 0 <= v < len(specs) for v in passages):
         raise ValueError("passages must index into specs")
-    n = int(round(clip_s * sample_rate))
-    if n < 1:
-        raise ValueError("clip_s leaves no samples")
-    t = np.arange(n) / sample_rate
+    n = int(round(CLIP_S * SAMPLE_RATE))
+    t = np.arange(n) / SAMPLE_RATE
     samples = np.zeros(n * len(passages))
     spans = []
     for idx, v in enumerate(passages):
@@ -190,7 +183,7 @@ def gen_vehicle_audio(
             wobble = 1.0 + spec.amp_jitter * rng.standard_normal()
             phase = rng.uniform(0.0, 2.0 * np.pi)
             x += amp * wobble * np.sin(2.0 * np.pi * spec.fundamental_hz * h * t + phase)
-        x *= spec.envelope.at(t, clip_s)
+        x *= spec.envelope.at(t)
         x += spec.broadband_level * rng.standard_normal(n)
-        spans.append(LabelSpan(spec.name, idx * clip_s, (idx + 1) * clip_s))
-    return AudioSignal(samples=samples, sample_rate=sample_rate), spans
+        spans.append(LabelSpan(spec.name, idx * CLIP_S, (idx + 1) * CLIP_S))
+    return AudioSignal(samples=samples, sample_rate=SAMPLE_RATE), spans

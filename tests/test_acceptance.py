@@ -52,7 +52,7 @@ def criterion(num: int, text: str):
 def vehicle_dataset():
     start = time.perf_counter()
     signal, spans = gen_vehicle_audio(default_vehicle_bank(), rng_seed=0)
-    features = stft_features(signal, WindowingConfig(), m=1500)
+    features = stft_features(signal, WindowingConfig())
     return signal, spans, features, time.perf_counter() - start
 
 
@@ -88,10 +88,10 @@ def test_criterion_2_block_matrix_mirror():
             graph, fine, coarse = gen_block_similarity(BlockSpec(rng_seed=seed))
             emb = eigendecompose(laplacian(graph), p=4)
 
-            inc3 = incres_cluster(graph, IncresConfig(k=3, rng_seed=1000 + seed)).partition
+            inc3 = incres_cluster(graph, 3, IncresConfig(rng_seed=1000 + seed)).partition
             if as_sets(inc3.labels) == as_sets(fine):
                 fine_exact += 1
-            inc2 = incres_cluster(graph, IncresConfig(k=2, rng_seed=2000 + seed)).partition
+            inc2 = incres_cluster(graph, 2, IncresConfig(rng_seed=2000 + seed)).partition
             if as_sets(inc2.labels) == as_sets(coarse):
                 coarse_exact += 1
 
@@ -119,7 +119,7 @@ def test_criterion_3_vehicle_audio_mirror(vehicle_dataset):
 
         truth = np.tile(np.repeat(np.arange(3), 16), 3)
         spectral_labels = spectral_cluster(emb, 3, KmeansConfig(seed=0)).partition.labels
-        incres_labels = incres_cluster(graph, IncresConfig(k=3, rng_seed=0)).partition.labels
+        incres_labels = incres_cluster(graph, 3, IncresConfig(rng_seed=0)).partition.labels
 
         p_spectral = purity(confusion(truth, Partition(labels=spectral_labels, k=3)))
         p_incres = purity(confusion(truth, Partition(labels=incres_labels, k=3)))
@@ -192,7 +192,7 @@ def test_criterion_6_window_feature_identities(vehicle_dataset):
         from passby.signal import AudioSignal
 
         sig = AudioSignal(rng.normal(size=rate), rate)
-        fm = stft_features(sig, WindowingConfig(), m=w // 2)
+        fm = stft_features(sig, WindowingConfig(m=w // 2))
         for i in range(fm.n_windows):
             window = sig.samples[i * w : (i + 1) * w]
             dc = abs(window.sum())
@@ -203,7 +203,7 @@ def test_criterion_6_window_feature_identities(vehicle_dataset):
         hz = 400.0  # exactly bin 50 at 8 Hz spacing
         t = np.arange(w) / rate
         tone = AudioSignal(0.6 * np.sin(2 * np.pi * hz * t), rate)
-        row = stft_features(tone, WindowingConfig(), m=w // 2).values[0] ** 2
+        row = stft_features(tone, WindowingConfig(m=w // 2)).values[0] ** 2
         assert row[49] / row.sum() > 0.999999
 
         _, _, features, _ = vehicle_dataset
@@ -238,7 +238,7 @@ def test_criterion_7_reseeding_mechanics(tmp_path):
             noise_fraction=0.0,
         )
         graph2, fine2, _ = gen_block_similarity(two)
-        res = incres_cluster(graph2, IncresConfig(k=2, rng_seed=1))
+        res = incres_cluster(graph2, 2, IncresConfig(rng_seed=1))
         assert as_sets(res.partition.labels) == as_sets(fine2)
 
 

@@ -307,22 +307,22 @@ def test_incres_recovers_two_components():
         noise_fraction=0.0,
     )
     graph, fine, _ = gen_block_similarity(spec)
-    res = incres_cluster(graph, IncresConfig(k=2, iterations=60, rng_seed=5))
+    res = incres_cluster(graph, 2, IncresConfig(iterations=60, rng_seed=5))
     assert as_sets(res.partition.labels) == as_sets(fine)
 
 
 def test_incres_block_matrix_fine_and_coarse():
     graph, fine, coarse = gen_block_similarity(BlockSpec(rng_seed=7))
-    res3 = incres_cluster(graph, IncresConfig(k=3, rng_seed=11))
+    res3 = incres_cluster(graph, 3, IncresConfig(rng_seed=11))
     assert as_sets(res3.partition.labels) == as_sets(fine)
-    res2 = incres_cluster(graph, IncresConfig(k=2, rng_seed=12))
+    res2 = incres_cluster(graph, 2, IncresConfig(rng_seed=12))
     assert as_sets(res2.partition.labels) == as_sets(coarse)
 
 
 def test_incres_deterministic():
     graph, _, _ = gen_block_similarity(BlockSpec(rng_seed=0))
-    a = incres_cluster(graph, IncresConfig(k=3, rng_seed=21))
-    b = incres_cluster(graph, IncresConfig(k=3, rng_seed=21))
+    a = incres_cluster(graph, 3, IncresConfig(rng_seed=21))
+    b = incres_cluster(graph, 3, IncresConfig(rng_seed=21))
     assert np.array_equal(a.partition.labels, b.partition.labels)
     assert a.grow_steps == b.grow_steps
     assert a.cap_exhausted == b.cap_exhausted
@@ -330,8 +330,8 @@ def test_incres_deterministic():
 
 def test_incres_result_bookkeeping():
     graph, _, _ = gen_block_similarity(BlockSpec(rng_seed=1))
-    cfg = IncresConfig(k=3, iterations=40, rng_seed=2)
-    res = incres_cluster(graph, cfg)
+    cfg = IncresConfig(iterations=40, rng_seed=2)
+    res = incres_cluster(graph, 3, cfg)
     assert len(res.grow_steps) == 40
     assert len(res.cap_exhausted) == 40
     assert len(res.limit_rounds) == 40
@@ -343,7 +343,7 @@ def test_incres_result_bookkeeping():
 def test_incres_unseeded_components_take_the_limit_not_the_cap():
     # one component per vehicle, so some rounds leave one without a seed
     graph = _vehicle_graph()
-    res = incres_cluster(graph, IncresConfig(k=3, rng_seed=1))
+    res = incres_cluster(graph, 3, IncresConfig(rng_seed=1))
     assert max(res.grow_steps) < graph.n_vertices
     assert sum(res.limit_rounds) > 0
     # a limit round counts as cap-exhausted; no other round reaches the cap
@@ -363,28 +363,29 @@ def test_incres_pure_where_reachable_support_rule_was_not(tmp_path, seed):
 def test_incres_k_larger_than_graph():
     graph, _, _ = gen_block_similarity(BlockSpec(block_sizes=(3, 3, 3)))
     with pytest.raises(ValueError):
-        incres_cluster(graph, IncresConfig(k=10))
+        incres_cluster(graph, 10)
 
 
 def test_incres_config_validation():
+    graph, _, _ = gen_block_similarity(BlockSpec(block_sizes=(3, 3, 3)))
     with pytest.raises(ValueError):
-        IncresConfig(k=1)
+        incres_cluster(graph, 1)
     with pytest.raises(ValueError):
-        IncresConfig(k=2, iterations=0)
+        IncresConfig(iterations=0)
     with pytest.raises(ValueError):
-        IncresConfig(k=2, seed_rate=0.0)
+        IncresConfig(seed_rate=0.0)
 
 
 def _vehicle_graph():
     signal, _ = gen_vehicle_audio(default_vehicle_bank(), rng_seed=0)
-    features = stft_features(signal, WindowingConfig(), m=1500)
+    features = stft_features(signal, WindowingConfig())
     return knn_graph(features.values, neighbors=15)
 
 
 def test_incres_stable_across_seeds_on_vehicle_windows():
     graph = _vehicle_graph()
     partitions = [
-        incres_cluster(graph, IncresConfig(k=3, rng_seed=seed)).partition.labels
+        incres_cluster(graph, 3, IncresConfig(rng_seed=seed)).partition.labels
         for seed in range(20)
     ]
     worst = min(
@@ -400,7 +401,7 @@ def test_incres_stable_across_seeds_on_vehicle_windows():
 
 def test_embedding_two_cluster_column_is_signed_indicator():
     graph, _, _ = gen_block_similarity(BlockSpec(rng_seed=3))
-    E, results = incres_embedding(graph, k=2, cfg=IncresConfig(k=2, rng_seed=4))
+    E, results = incres_embedding(graph, k=2, cfg=IncresConfig(rng_seed=4))
     assert E.shape == (graph.n_vertices, 1)
     assert set(np.unique(E[:, 0])) == {-1.0, 1.0}
     assert as_sets(E[:, 0] < 0) == as_sets(results[0].partition.labels)
@@ -408,7 +409,7 @@ def test_embedding_two_cluster_column_is_signed_indicator():
 
 def test_embedding_columns_constant_within_clusters():
     graph, fine, _ = gen_block_similarity(BlockSpec(rng_seed=5))
-    E, results = incres_embedding(graph, k=3, cfg=IncresConfig(k=3, rng_seed=6))
+    E, results = incres_embedding(graph, k=3, cfg=IncresConfig(rng_seed=6))
     assert E.shape == (graph.n_vertices, 2)
     final = results[-1].partition.labels
     for c in np.unique(final):
@@ -438,6 +439,6 @@ def test_embedding_column_levels_ordered_by_size():
 
 def test_embedding_deterministic():
     graph, _, _ = gen_block_similarity(BlockSpec(rng_seed=8))
-    a, _ = incres_embedding(graph, k=3, cfg=IncresConfig(k=3, rng_seed=9))
-    b, _ = incres_embedding(graph, k=3, cfg=IncresConfig(k=3, rng_seed=9))
+    a, _ = incres_embedding(graph, k=3, cfg=IncresConfig(rng_seed=9))
+    b, _ = incres_embedding(graph, k=3, cfg=IncresConfig(rng_seed=9))
     assert np.array_equal(a, b)

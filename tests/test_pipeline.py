@@ -6,6 +6,8 @@ import csv
 import dataclasses
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import weakref
@@ -143,7 +145,7 @@ def test_default_run_graph_csv_roundtrip(default_run):
     out = default_run.out_dir
     composite, _ = assemble_composite(read_manifest(out / "manifest.csv"), base_dir=out)
     cfg = PipelineConfig()
-    g = knn_graph(stft_features(composite, cfg.windowing(), m=cfg.m).values, cfg.neighbors)
+    g = knn_graph(stft_features(composite, cfg.windowing()).values, cfg.neighbors)
     meta = json.loads((out / "graph.json").read_text())
     with open(out / "graph.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -274,6 +276,28 @@ def test_cli_smoothing_wider_than_m_fails_before_any_stage(tmp_path, capsys):
     code = main(["--smoothing", "1499", "--method", "spectral", "--k", "3", "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     assert json.loads((out / "report.json").read_text())["n_coefficients"] == 1500
+
+
+@pytest.mark.parametrize(
+    "flags, holder, message",
+    [
+        (["--iterations", "0"], lambda: IncresConfig(iterations=0), "iterations must be positive"),
+        (["--seed-rate", "0"], lambda: IncresConfig(seed_rate=0.0), "seed_rate must be positive"),
+        (["--restarts", "0"], lambda: KmeansConfig(restarts=0), "restarts must be positive"),
+        (["--m", "4000"], lambda: WindowingConfig(m=4000), "m must lie in [1, 3000]"),
+        (["--smoothing", "1501"], lambda: WindowingConfig(smoothing_len=1501), "smoothing_len 1501"),
+        (["--seed", "-1"], lambda: PipelineConfig(seed=-1), "seed must be nonnegative"),
+    ],
+    ids=["iterations", "seed-rate", "restarts", "m", "smoothing", "seed"],
+)
+def test_cli_limit_is_checked_by_the_type_that_holds_it(tmp_path, capsys, flags, holder, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as own:
+        holder()
+    out = tmp_path / "o"
+    code = main([*flags, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: bad configuration: {own.value}\n"
+    assert not out.exists()
 
 
 def test_cli_window_longer_than_the_input_is_config_error(tmp_path, capsys, monkeypatch):
@@ -549,6 +573,33 @@ def test_cli_non_finite_manifest_number_returns_io_code(tmp_path, capsys, start,
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
+def test_cli_manifest_row_with_extra_fields_returns_io_code(tmp_path, capsys):
+    write_wav(AudioSignal(np.sin(np.linspace(0.0, 400.0, 2 * 48000)), 48000), tmp_path / "a.wav")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,start_s,duration_s\na.wav,car,0.0,1.0\na.wav,truck,0.0,2.0,7\n")
+    out = tmp_path / "o"
+    code = main(["--manifest", str(manifest), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert "stage 'input' failed" in err and "m.csv:3: bad row" in err and "['7']" in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_cli_manifest_with_a_byte_order_mark(tmp_path, capsys, default_run):
+    # a spreadsheet saving "CSV UTF-8" starts the file with U+FEFF
+    shutil.copy(default_run.out_dir / "synthetic.wav", tmp_path)
+    text = (default_run.out_dir / "manifest.csv").read_text()
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text("\ufeff" + text, encoding="utf-8")
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbfpath,")
+    for name in ("plain", "bom"):
+        flags = ["--manifest", str(tmp_path / f"{name}.csv"), "--method", "spectral", "--k", "3"]
+        code = main([*flags, "--out", str(tmp_path / name)])
+        assert code == 0, capsys.readouterr().err
+    labels = [(tmp_path / name / "labels.csv").read_bytes() for name in ("plain", "bom")]
+    assert labels[0] == labels[1]
+
+
 def test_cli_config_file_flow(tmp_path, capsys):
     out = tmp_path / "cfgrun"
     cfg_path = tmp_path / "cfg.json"
@@ -779,7 +830,7 @@ def test_flat_envelope_concentrates_errors_at_clip_edges():
         for spec in default_vehicle_bank()
     )
     signal, spans = gen_vehicle_audio(bank, rng_seed=0)
-    features = stft_features(signal, WindowingConfig(), m=1500)
+    features = stft_features(signal, WindowingConfig())
     graph = knn_graph(features.values, neighbors=15)
     emb = eigendecompose(laplacian(graph), p=20)
     truth = np.repeat(np.arange(3), 16)
@@ -788,7 +839,7 @@ def test_flat_envelope_concentrates_errors_at_clip_edges():
 
     for labels in (
         spectral_cluster(emb, 3, KmeansConfig(seed=1)).partition.labels,
-        incres_cluster(graph, IncresConfig(k=3, rng_seed=2)).partition.labels,
+        incres_cluster(graph, 3, IncresConfig(rng_seed=2)).partition.labels,
     ):
         cm = confusion(truth, Partition(labels=labels, k=3))
         assignment = align_labels(cm)

@@ -20,6 +20,7 @@ from passby.signal import (
     FeatureMatrix,
     ManifestEntry,
     ManifestError,
+    Recording,
     UnsupportedEncodingError,
     WindowingConfig,
     assemble_composite,
@@ -206,6 +207,13 @@ def test_manifest_bad_header(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("file,label,start,dur\na.wav,x,0,1\n")
     with pytest.raises(ManifestError):
+        read_manifest(path)
+
+
+def test_manifest_not_utf8_is_manifest_error(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes("path,label,start_s,duration_s\na.wav,caf\xe9,0,1\n".encode("latin-1"))
+    with pytest.raises(ManifestError, match="cannot read manifest"):
         read_manifest(path)
 
 
@@ -432,7 +440,7 @@ def test_windowing_config_rejects_unknown_taper():
 def test_window_count_and_start_times():
     rate = 100
     sig = AudioSignal(np.random.default_rng(0).normal(size=20), rate)
-    fm = stft_features(sig, WindowingConfig(window_len=6), m=3)
+    fm = stft_features(sig, WindowingConfig(window_len=6, m=3))
     # floor((20 - 6) / 6) + 1 = 3 full windows; the trailing 2 samples drop
     assert fm.values.shape == (3, 3)
     assert np.array_equal(fm.start_times, np.array([0.0, 6 / rate, 12 / rate]))
@@ -448,15 +456,15 @@ def test_window_count_formula_random_cases():
         sig = AudioSignal(rng.normal(size=n), 10)
         if n < w:
             with pytest.raises(ValueError):
-                stft_features(sig, WindowingConfig(window_len=w, overlap=overlap), m=1)
+                stft_features(sig, WindowingConfig(window_len=w, overlap=overlap, m=1))
             continue
-        fm = stft_features(sig, WindowingConfig(window_len=w, overlap=overlap), m=w // 2)
+        fm = stft_features(sig, WindowingConfig(window_len=w, overlap=overlap, m=w // 2))
         assert fm.n_windows == (n - w) // hop + 1
 
 
 def test_overlap_half_hop():
     sig = AudioSignal(np.arange(12, dtype=float), 10)
-    fm = stft_features(sig, WindowingConfig(window_len=6, overlap=0.5), m=2)
+    fm = stft_features(sig, WindowingConfig(window_len=6, overlap=0.5, m=2))
     assert fm.n_windows == 3
     assert np.array_equal(fm.start_times, np.array([0.0, 0.3, 0.6]))
 
@@ -465,7 +473,7 @@ def test_on_bin_sinusoid_concentrates():
     rate, w = 48000, 6000
     hz = 400.0  # bin 50 at 8 Hz resolution
     sig = AudioSignal(_sine(rate, 0.5, hz, amp=0.7), rate)
-    fm = stft_features(sig, WindowingConfig(window_len=w), m=w // 2)
+    fm = stft_features(sig, WindowingConfig(window_len=w, m=w // 2))
     row = fm.values[0] ** 2
     bin_index = int(hz * w / rate)  # column index bin_index-1 (bins start at 1)
     assert row[bin_index - 1] / row.sum() > 0.999999
@@ -473,7 +481,7 @@ def test_on_bin_sinusoid_concentrates():
 
 def test_zero_signal_zero_features():
     sig = AudioSignal(np.zeros(600), 100)
-    fm = stft_features(sig, WindowingConfig(window_len=100), m=50)
+    fm = stft_features(sig, WindowingConfig(window_len=100, m=50))
     assert np.all(fm.values == 0.0)
 
 
@@ -481,7 +489,7 @@ def test_parseval_box_taper():
     rng = np.random.default_rng(3)
     w = 256
     sig = AudioSignal(rng.normal(size=w * 4), 1000)
-    fm = stft_features(sig, WindowingConfig(window_len=w), m=w // 2)
+    fm = stft_features(sig, WindowingConfig(window_len=w, m=w // 2))
     for i in range(fm.n_windows):
         window = sig.samples[i * w : (i + 1) * w]
         dc = abs(window.sum())
@@ -495,25 +503,25 @@ def test_parseval_box_taper():
 def test_scaling_equivariance():
     rng = np.random.default_rng(5)
     sig = AudioSignal(rng.normal(size=1000), 100)
-    cfg = WindowingConfig(window_len=200)
-    base = stft_features(sig, cfg, m=100).values
-    scaled = stft_features(AudioSignal(sig.samples * 3.5, 100), cfg, m=100).values
+    cfg = WindowingConfig(window_len=200, m=100)
+    base = stft_features(sig, cfg).values
+    scaled = stft_features(AudioSignal(sig.samples * 3.5, 100), cfg).values
     assert np.allclose(scaled, 3.5 * base, rtol=1e-12, atol=0.0)
 
 
 def test_features_deterministic():
     rng = np.random.default_rng(9)
     sig = AudioSignal(rng.normal(size=2000), 100)
-    a = stft_features(sig, WindowingConfig(window_len=500), m=200).values
-    b = stft_features(sig, WindowingConfig(window_len=500), m=200).values
+    a = stft_features(sig, WindowingConfig(window_len=500, m=200)).values
+    b = stft_features(sig, WindowingConfig(window_len=500, m=200)).values
     assert np.array_equal(a, b)
 
 
 def test_moving_mean_truncated_edges():
     rng = np.random.default_rng(11)
     sig = AudioSignal(rng.normal(size=400), 100)
-    raw = stft_features(sig, WindowingConfig(window_len=100), m=40).values
-    smooth = stft_features(sig, WindowingConfig(window_len=100, smoothing_len=5), m=40).values
+    raw = stft_features(sig, WindowingConfig(window_len=100, m=40)).values
+    smooth = stft_features(sig, WindowingConfig(window_len=100, smoothing_len=5, m=40)).values
     # oracle: direct truncated-window average
     for i in range(raw.shape[0]):
         for j in range(raw.shape[1]):
@@ -524,18 +532,24 @@ def test_moving_mean_truncated_edges():
 def test_hamming_taper_changes_values():
     rng = np.random.default_rng(13)
     sig = AudioSignal(rng.normal(size=600), 100)
-    box = stft_features(sig, WindowingConfig(window_len=200), m=80).values
-    ham = stft_features(sig, WindowingConfig(window_len=200, taper="hamming"), m=80).values
+    box = stft_features(sig, WindowingConfig(window_len=200, m=80)).values
+    ham = stft_features(sig, WindowingConfig(window_len=200, taper="hamming", m=80)).values
     assert box.shape == ham.shape
     assert not np.allclose(box, ham)
 
 
 def test_m_out_of_range():
-    sig = AudioSignal(np.ones(100), 100)
     with pytest.raises(ValueError):
-        stft_features(sig, WindowingConfig(window_len=50), m=26)
+        WindowingConfig(window_len=50, m=26)
     with pytest.raises(ValueError):
-        stft_features(sig, WindowingConfig(window_len=50), m=0)
+        WindowingConfig(window_len=50, m=0)
+
+
+def test_windowing_config_rejects_smoothing_wider_than_m():
+    # a moving mean wider than the row would return more columns than m
+    with pytest.raises(ValueError, match="smoothing_len 41"):
+        WindowingConfig(window_len=100, smoothing_len=41, m=40)
+    assert WindowingConfig(window_len=100, smoothing_len=39, m=40).m == 40
 
 
 def test_feature_matrix_rejects_negative_values():
@@ -547,6 +561,27 @@ def test_feature_matrix_rejects_negative_values():
             sample_rate=10,
             envelope=np.zeros((2, 1)),
         )
+
+
+@pytest.mark.parametrize(
+    "crops, rate, match",
+    [
+        ((np.zeros(12, np.int16),), 0, "sample_rate"),
+        ((np.arange(12, dtype=np.int64), np.ones((6, 3), np.int16)), -5, "sample_rate"),
+        ((), 8000, "at least one crop"),
+        ((np.zeros(12, np.int16), np.ones((6, 3), np.int16)), 8000, r"shape \(6, 3\)"),
+        ((np.zeros((6, 1), np.int16),), 8000, "two-channel"),
+        ((np.zeros((6, 2, 1), np.int16),), 8000, "two-channel"),
+        ((np.array(0.5),), 8000, "two-channel"),
+        ((np.zeros(12), np.arange(12, dtype=np.int64)), 8000, "int64"),
+        ((np.zeros(12, np.int8),), 8000, "int8"),
+        ((np.zeros(12, np.float16),), 8000, "float16"),
+        ((np.zeros(12, bool),), 8000, "bool"),
+    ],
+)
+def test_recording_rejects_what_to_float_cannot_decode(crops, rate, match):
+    with pytest.raises(ValueError, match=match):
+        Recording(crops=crops, sample_rate=rate)
 
 
 # ------------------------------------------------ crops streamed into windows
@@ -581,8 +616,8 @@ def _mixed_format_files(tmp_path, rate, frames):
 @pytest.mark.parametrize(
     "cfg",
     [
-        WindowingConfig(window_len=40, overlap=0.5, taper="hamming"),
-        WindowingConfig(window_len=40, smoothing_len=3),
+        WindowingConfig(window_len=40, overlap=0.5, taper="hamming", m=17),
+        WindowingConfig(window_len=40, smoothing_len=3, m=17),
     ],
     ids=["hamming-overlap", "box-smoothed"],
 )
@@ -590,7 +625,7 @@ def test_features_of_crops_match_the_concatenated_oracle_crops(
     tmp_path, monkeypatch, block_rows, shape, cfg
 ):
     monkeypatch.setattr(signal_module, "STFT_BLOCK_ROWS", block_rows)
-    rate, frames, m = 8000, 12000, 17
+    rate, frames, m = 8000, 12000, cfg.m
     names = _mixed_format_files(tmp_path, rate, frames)
     span = (block_rows - 1) * cfg.hop + cfg.window_len  # samples under one block of windows
     if shape == "straddling":
@@ -614,8 +649,8 @@ def test_features_of_crops_match_the_concatenated_oracle_crops(
         assert n == 2 * block_rows
 
     recording, _ = assemble_composite(entries, base_dir=tmp_path)
-    got = stft_features(recording, cfg, m=m)
-    whole = stft_features(AudioSignal(x, rate), cfg, m=m)
+    got = stft_features(recording, cfg)
+    whole = stft_features(AudioSignal(x, rate), cfg)
     assert got.values.tobytes() == whole.values.tobytes()
     assert np.array_equal(got.start_times, cfg.hop * np.arange(n) / rate)
     assert got.envelope.tobytes() == whole.envelope.tobytes()
@@ -635,11 +670,11 @@ def test_ingest_and_features_never_hold_the_recording_as_float64(tmp_path):
             tmp_path / f"clip{i:02d}.wav", rate, rng.integers(-3000, 3000, size=clip).astype(np.int16)
         )
         entries.append(ManifestEntry(f"clip{i:02d}.wav", "x", 0.0, clip / rate))
-    cfg = WindowingConfig(window_len=200)  # 2400 windows: many blocks of them
+    cfg = WindowingConfig(window_len=200, m=50)  # 2400 windows: many blocks of them
     tracemalloc.start()
     try:
         recording, _ = assemble_composite(entries, base_dir=tmp_path)
-        features = stft_features(recording, cfg, m=50)
+        features = stft_features(recording, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

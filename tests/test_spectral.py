@@ -16,6 +16,7 @@ from scipy import sparse
 from _helpers import as_sets
 from passby.graph import SimilarityGraph, knn_graph, laplacian
 from passby.spectral import (
+    KMEANS_TOL,
     EigensolverError,
     KmeansConfig,
     SpectralEmbedding,
@@ -23,6 +24,7 @@ from passby.spectral import (
     estimate_k,
     kmeans,
     spectral_cluster,
+    _lloyd,
 )
 
 
@@ -387,9 +389,12 @@ def test_kmeans_wcss_history_non_increasing():
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(60, 4))
     res = kmeans(pts, k=4, cfg=KmeansConfig(restarts=1, seed=3))
-    hist = np.array(
-        [kmeans(pts, k=4, cfg=KmeansConfig(restarts=1, max_iter=t, seed=3)).wcss for t in range(1, 21)]
-    )
+
+    def capped(t):  # kmeans's one restart, with Lloyd cut at t iterations
+        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        return _lloyd(pts, 4, rng, t, KMEANS_TOL)[1]
+
+    hist = np.array([capped(t) for t in range(1, 21)])
     assert np.all(np.diff(hist) <= 1e-12)
     assert np.sum(np.diff(hist) < 0) >= 2  # the iterations did lower it
     assert hist[-1] == res.wcss  # converged within 20 iterations

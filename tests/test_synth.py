@@ -176,7 +176,7 @@ def test_clean_clips_have_identical_window_features():
     # windows of one vehicle must look alike up to rounding
     bank = (_clean_spec("a", 32.0), _clean_spec("b", 64.0))
     signal, _ = gen_vehicle_audio(bank, passages=(0, 1), rng_seed=0)
-    fm = stft_features(signal, WindowingConfig(), m=1500)
+    fm = stft_features(signal, WindowingConfig())
     D = distance_matrix(pairwise_cosine_distances(fm.values), fm.n_windows)
     n = fm.n_windows
     half = n // 2
@@ -190,7 +190,7 @@ def test_clean_clips_have_identical_window_features():
 
 def test_default_bank_within_class_tighter_than_between():
     signal, spans = gen_vehicle_audio(default_vehicle_bank(), rng_seed=3)
-    fm = stft_features(signal, WindowingConfig(), m=1500)
+    fm = stft_features(signal, WindowingConfig())
     D = distance_matrix(pairwise_cosine_distances(fm.values), fm.n_windows)
     mid = fm.start_times + fm.window_len / (2 * fm.sample_rate)
     truth = np.array([[s.label for s in spans if s.start_s <= t < s.end_s][0] for t in mid])
@@ -213,7 +213,7 @@ def test_default_bank_is_separated_and_normalized():
 
 def test_end_to_end_knn_graph_has_no_isolated_windows():
     signal, _ = gen_vehicle_audio(default_vehicle_bank(), rng_seed=4)
-    fm = stft_features(signal, WindowingConfig(), m=1500)
+    fm = stft_features(signal, WindowingConfig())
     g = knn_graph(fm.values, neighbors=15)
     assert g.n_vertices == 144
     assert np.all(np.diff(g.weights.indptr) >= 15)

@@ -1,11 +1,12 @@
 """Check that two passby source trees write the same outputs.
 
-    python3 tools/same_outputs.py OLD_SRC NEW_SRC [--workload W] [--seed N] [-- FLAGS]
+    python3 tools/same_outputs.py OLD_SRC NEW_SRC [--workload W] [--seed N|A-B] [-- FLAGS]
 
---workload and --seed repeat (default: every workload, seed 1); FLAGS go to
-every passby command.  Inputs come from bench/workloads.py::prepare, cached
-under --root and generated with OLD_SRC.  Every artifact of the two runs must
-be byte-identical, and so must report.json without `timings` and
+--workload and --seed repeat (default: every workload, seed 1), and --seed
+takes an inclusive range such as 0-40; FLAGS go to every passby command.
+Inputs come from bench/workloads.py::prepare, cached under --root and
+generated with OLD_SRC.  Every artifact of the two runs must be
+byte-identical, and so must report.json without `timings` and
 `parameters.out_dir`, the exit code and the console output (out directory
 masked).  Prints each difference and exits 1 if there is any; a CSV or JSON
 file that differs only in its numbers also gets the largest relative
@@ -94,12 +95,18 @@ def _largest_relative_difference(a: Path, b: Path) -> float | None:
     return worst
 
 
+def _seeds(text: str) -> list[int]:
+    """One seed, or the inclusive range A-B."""
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
     p.add_argument("--workload", action="append")
-    p.add_argument("--seed", type=int, action="append")
+    p.add_argument("--seed", type=_seeds, action="extend")
     p.add_argument("--root", type=Path, default=ROOT / ".bench_out" / "same_outputs")
     argv, extra = sys.argv[1:], []
     if "--" in argv:
