@@ -6,7 +6,8 @@ import argparse
 import sys
 from typing import Any
 
-from .pipeline import ConfigError, PipelineConfig, exit_code_for, run_pipeline
+from .pipeline import METHODS, ConfigError, PipelineConfig, exit_code_for, run_pipeline
+from .signal import TAPERS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,13 +23,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default: out)")
     p.add_argument("--window-len", type=int, dest="window_len", help="samples per analysis window")
     p.add_argument("--overlap", type=float, help="window overlap fraction in [0, 1)")
-    p.add_argument("--taper", choices=["box", "hamming"], help="per-window taper")
+    p.add_argument("--taper", choices=TAPERS, help="per-window taper")
     p.add_argument("--smoothing", type=int, dest="smoothing_len", help="odd moving-mean width over coefficients")
     p.add_argument("--m", type=int, help="number of spectral coefficients kept per window")
     p.add_argument("--knn", type=int, dest="neighbors", help="nearest-neighbor count of the graph")
     p.add_argument("--k", help="cluster count, or 'auto' to pick by eigenvalue gap")
     p.add_argument("--k-max", type=int, dest="k_max", help="largest k the auto selection considers")
-    p.add_argument("--method", choices=["spectral", "incres", "incres-embedding", "both"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--iterations", type=int, help="reseeding rounds")
     p.add_argument("--seed-rate", type=float, dest="seed_rate", help="seed budget growth rate per round")
     p.add_argument("--restarts", type=int, help="k-means restarts")

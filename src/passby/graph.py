@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
@@ -60,20 +60,6 @@ def pairwise_cosine_distances(
     return tiles()
 
 
-def _canonical_csr(matrix: npt.ArrayLike | sparse.sparray, name: str) -> sparse.csr_array:
-    """A square float64 CSR array with sorted indices, no duplicates and no stored zeros."""
-    M = sparse.csr_array(matrix, dtype=np.float64)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    M.sum_duplicates()
-    M.eliminate_zeros()
-    return M
-
-
-def _exactly_symmetric(M: sparse.csr_array) -> bool:
-    return (M != M.T).nnz == 0
-
-
 @dataclass(frozen=True)
 class SimilarityGraph:
     """Undirected weighted graph on n vertices, held as an n x n CSR array.
@@ -81,18 +67,28 @@ class SimilarityGraph:
     A stored entry is an edge; a dense matrix is converted once, and its
     zeros are not edges.  `scales` holds the per-vertex local scale the
     weights were built with and `neighbors` the neighbor count of the
-    construction.
+    construction.  The facts the Laplacian, the eigensolver and the random
+    walk share are derived once, here: `degrees` (the row sums of the
+    weights, all positive) and `component` (each vertex's connected
+    component, numbered by smallest vertex).
     """
 
     weights: sparse.csr_array
     scales: npt.NDArray[np.float64]
     neighbors: int
+    degrees: npt.NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    component: npt.NDArray[np.int64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _canonical_csr(self.weights, "weights"))
+        # float64 CSR with sorted indices, no duplicates and no stored zeros
+        W = sparse.csr_array(self.weights, dtype=np.float64)
+        if W.shape[0] != W.shape[1]:
+            raise ValueError("weights must be a square matrix")
+        W.sum_duplicates()
+        W.eliminate_zeros()
+        object.__setattr__(self, "weights", W)
         object.__setattr__(self, "scales", np.asarray(self.scales, dtype=np.float64))
-        W = self.weights
-        if not _exactly_symmetric(W):
+        if (W != W.T).nnz:
             raise ValueError("weights must be exactly symmetric")
         if np.any(W.diagonal() != 0.0):
             raise ValueError("self-loops are not allowed")
@@ -100,16 +96,16 @@ class SimilarityGraph:
             raise ValueError("weights must be finite and nonnegative")
         if self.scales.shape != (W.shape[0],):
             raise ValueError("scales must hold one entry per vertex")
-        lonely = np.flatnonzero(self.degrees() == 0.0)
+        degrees = W.sum(axis=1)
+        lonely = np.flatnonzero(degrees == 0.0)
         if lonely.size:
             raise IsolatedVertexError(f"vertices with no edges: {lonely.tolist()}")
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "component", component_labels(W))
 
     @property
     def n_vertices(self) -> int:
         return self.weights.shape[0]
-
-    def degrees(self) -> npt.NDArray[np.float64]:
-        return self.weights.sum(axis=1)
 
     def edge_list(self) -> list[tuple[int, int, float]]:
         """Edges as (i, j, weight) triplets with i < j, in row-major order."""
@@ -237,21 +233,15 @@ def _fold(
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2} of a graph, as CSR.
+    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2} of `graph`, as CSR.
 
-    A dense matrix is converted once.
+    Made by `laplacian(graph)`, which builds it exactly symmetric from a
+    validated graph, so it is not checked again; its degrees and components
+    are the graph's.
     """
 
     matrix: sparse.csr_array
-    degrees: npt.NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _canonical_csr(self.matrix, "matrix"))
-        object.__setattr__(self, "degrees", np.asarray(self.degrees, dtype=np.float64))
-        if not _exactly_symmetric(self.matrix):
-            raise ValueError("matrix must be exactly symmetric")
-        if self.degrees.shape != (self.matrix.shape[0],):
-            raise ValueError("degrees must hold one entry per vertex")
+    graph: SimilarityGraph
 
     @property
     def n_vertices(self) -> int:
@@ -265,14 +255,12 @@ def laplacian(graph: SimilarityGraph) -> Laplacian:
     scale factors commutes, so the matrix is exactly symmetric.
     """
     W = graph.weights
-    deg = graph.degrees()  # positive: a SimilarityGraph has no isolated vertex
-    inv_sqrt = 1.0 / np.sqrt(deg)
+    inv_sqrt = 1.0 / np.sqrt(graph.degrees)  # positive: a SimilarityGraph has no isolated vertex
     rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
     A = sparse.csr_array(
         (W.data * (inv_sqrt[rows] * inv_sqrt[W.indices]), W.indices, W.indptr), shape=W.shape
     )
-    L = sparse.eye_array(W.shape[0], format="csr") - A
-    return Laplacian(matrix=L, degrees=deg)
+    return Laplacian(matrix=sparse.eye_array(W.shape[0], format="csr") - A, graph=graph)
 
 
 def component_labels(adjacency: sparse.csr_array) -> npt.NDArray[np.int64]:

@@ -18,7 +18,7 @@ import numpy as np
 import numpy.typing as npt
 from scipy import sparse
 
-from .graph import SimilarityGraph, component_labels
+from .graph import SimilarityGraph
 from .spectral import Partition
 
 SeedMatrix = npt.NDArray[np.float64]  # (n, k); column c = mass planted for cluster c
@@ -51,7 +51,7 @@ class IncresResult:
 def transition_matrix(graph: SimilarityGraph) -> sparse.csr_array:
     """Column-stochastic random-walk operator: column j spreads j's mass to its neighbors."""
     P = graph.weights.copy()
-    P.data /= graph.degrees()[P.indices]
+    P.data /= graph.degrees[P.indices]
     return P
 
 
@@ -144,8 +144,6 @@ def incres_cluster(graph: SimilarityGraph, k: int, cfg: IncresConfig = IncresCon
         raise ValueError(f"k must lie in [2, {n}], got {k}")
     P = transition_matrix(graph)
     cap = 10 * n
-    component = component_labels(P)
-    deg = graph.degrees()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed))
     labels = rng.integers(0, k, size=n).astype(np.int64)
     steps_taken: list[int] = []
@@ -155,7 +153,7 @@ def incres_cluster(graph: SimilarityGraph, k: int, cfg: IncresConfig = IncresCon
     for round_index in range(1, cfg.iterations + 1):
         budget = seeds_for_round(cfg.seed_rate, round_index)
         mass = plant(Partition(labels=labels, k=k), budget, rng)
-        settled = stationary_limit(mass, component, deg)
+        settled = stationary_limit(mass, graph.component, graph.degrees)
         # the limit holds mass exactly on the components that hold a seed
         limit = not (settled > 0.0).any(axis=1).all()
         if limit:

@@ -98,18 +98,18 @@ class PipelineConfig:
 
     manifest: str | None = None  # clip manifest CSV; None generates synthetic input
     out_dir: str = "out"
-    window_len: int = 6000
-    overlap: float = 0.0
-    taper: str = "box"
-    smoothing_len: int | None = None
-    m: int = 1500
+    window_len: int = WindowingConfig.window_len
+    overlap: float = WindowingConfig.overlap
+    taper: str = WindowingConfig.taper
+    smoothing_len: int | None = WindowingConfig.smoothing_len
+    m: int = WindowingConfig.m
     neighbors: int = 15
     k: int | str = "auto"
     k_max: int = 8
     method: str = "both"
-    iterations: int = 200
-    seed_rate: float = 0.1
-    restarts: int = 20
+    iterations: int = IncresConfig.iterations
+    seed_rate: float = IncresConfig.seed_rate
+    restarts: int = KmeansConfig.restarts
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -153,9 +153,10 @@ class PipelineConfig:
     def from_file(cls, path: str | Path, overrides: dict[str, Any] | None = None) -> "PipelineConfig":
         """JSON config file merged with overrides; overrides win."""
         try:
-            with open(path) as fh:
+            # as a manifest is read: UTF-8, with or without a byte order mark
+            with open(path, encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc

@@ -14,6 +14,7 @@ from scipy.io import wavfile
 
 STFT_BLOCK_ROWS = 32  # windows transformed together in stft_features
 WAVEFORM_COLUMNS = 600  # time columns of the min/max envelope stft_features keeps
+TAPERS = ("box", "hamming")  # per-window tapers; "box" leaves the samples as they are
 
 
 class AudioIOError(Exception):
@@ -105,8 +106,8 @@ class WindowingConfig:
         step = self.window_len * (1.0 - self.overlap)
         if abs(step - round(step)) > 1e-9 or round(step) < 1:
             raise ValueError("overlap must leave a whole positive number of samples between window starts")
-        if self.taper not in ("box", "hamming"):
-            raise ValueError(f"unknown taper {self.taper!r}; expected 'box' or 'hamming'")
+        if self.taper not in TAPERS:
+            raise ValueError(f"unknown taper {self.taper!r}; expected {' or '.join(map(repr, TAPERS))}")
         if self.smoothing_len is not None:
             if self.smoothing_len < 1 or self.smoothing_len % 2 == 0:
                 raise ValueError("smoothing_len must be an odd positive integer")
@@ -252,7 +253,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                     f"{path}: manifest header must be {','.join(MANIFEST_FIELDS)}"
                 )
             entries = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 try:
                     if None in row:
                         raise ValueError(f"fields beyond {','.join(MANIFEST_FIELDS)}: {row[None]}")
@@ -265,7 +266,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                         )
                     )
                 except (TypeError, ValueError) as exc:
-                    raise ManifestError(f"{path}:{lineno}: bad row: {exc}") from exc
+                    # the row's last line: a quoted field may span several
+                    raise ManifestError(f"{path}:{reader.line_num}: bad row: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     if not entries:

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.typing as npt
 from scipy import sparse
 
-from .graph import Laplacian, component_labels
+from .graph import Laplacian
 
 RESIDUAL_TOL = 1e-8
 # A component takes Lanczos from this many vertices on, and only while the p
@@ -82,11 +82,11 @@ def _block_pairs(
 def eigendecompose(lap: Laplacian, p: int) -> SpectralEmbedding:
     """The p smallest eigenpairs, orthonormal, with a deterministic sign convention.
 
-    L is block-diagonal over the connected components of its sparsity
-    pattern, so each component is solved on its own and its vectors are
-    zero outside it: by dense `eigh` when it is small, by Lanczos when it is
-    large and p is a small share of it.  Each component's zero eigenspace is pinned to the
-    exact pair (0, D^{1/2} 1 / ||D^{1/2} 1||) on that component, so a graph
+    L is block-diagonal over the connected components of its graph, so
+    each component is solved on its own and its vectors are zero outside
+    it: by dense `eigh` when it is small, by Lanczos when it is large and p
+    is a small share of it.  Each component's zero eigenspace is pinned to
+    the exact pair (0, D^{1/2} 1 / ||D^{1/2} 1||) on that component, so a graph
     with c components yields a reproducible basis of the c-fold nullspace.
     Pairs merge by (eigenvalue, smallest vertex of the component, position
     within it).  Each eigenvector is flipped so its largest-magnitude entry
@@ -97,13 +97,13 @@ def eigendecompose(lap: Laplacian, p: int) -> SpectralEmbedding:
     n = lap.n_vertices
     if not 1 <= p <= n:
         raise ValueError(f"p must lie in [1, {n}], got {p}")
-    component = component_labels(L)
+    component, degrees = lap.graph.component, lap.graph.degrees
     sizes = np.bincount(component)
     # vertices of each component, ascending; components ordered by smallest vertex
     members = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes)[:-1])
     values, vectors = [], []
     for idx in members:
-        vals, vecs = _block_pairs(L[idx][:, idx], lap.degrees[idx], p)
+        vals, vecs = _block_pairs(L[idx][:, idx], degrees[idx], p)
         values.append(vals)
         vectors.append(vecs)
     counts = [v.size for v in values]

@@ -85,7 +85,7 @@ def test_transition_path_values():
 
 def test_transition_matches_dense_division_bitwise():
     g = knn_graph(np.random.default_rng(4).normal(size=(30, 5)) + 2.0, neighbors=4)
-    dense = g.weights.toarray() / g.degrees()[None, :]
+    dense = g.weights.toarray() / g.degrees[None, :]
     assert np.array_equal(transition_matrix(g).toarray(), dense)
 
 
@@ -224,8 +224,8 @@ def test_grow_and_limit_conserve_planted_mass(data):
     assert np.all(mass >= 0.0)
     assert mass.sum(axis=0) == pytest.approx(before, rel=1e-12)
     assert capped or (mass > 0.0).any(axis=1).all()
-    component = component_labels(graph.weights)
-    limit = stationary_limit(planted, component, graph.degrees())
+    component = graph.component
+    limit = stationary_limit(planted, component, graph.degrees)
     for c in range(component.max() + 1):
         on = component == c
         assert limit[on].sum(axis=0) == pytest.approx(planted[on].sum(axis=0), rel=1e-12)
@@ -262,12 +262,11 @@ def test_stationary_limit_matches_long_dense_diffusion():
     mass[3, 1] = 1.0
     mass[7, 1] = 3.0
     mass[10, 0] = 1.0
-    dense = g.weights.toarray() / g.degrees()[None, :]
+    dense = g.weights.toarray() / g.degrees[None, :]
     walked, steps, exhausted = grow(mass, dense, cap=2000)
     assert exhausted and steps == 2000
-    component = component_labels(transition_matrix(g))
-    assert component.tolist() == [0] * 6 + [1] * 9 + [2] * 12
-    limit = stationary_limit(mass, component, g.degrees())
+    assert g.component.tolist() == [0] * 6 + [1] * 9 + [2] * 12
+    limit = stationary_limit(mass, g.component, g.degrees)
     assert np.abs(limit - walked).max() < 1e-12
     assert np.all(limit[15:] == 0.0)
     assert np.allclose(limit.sum(axis=0), mass.sum(axis=0), rtol=1e-12)

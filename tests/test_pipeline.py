@@ -351,6 +351,10 @@ def test_config_from_file_errors(tmp_path):
     unknown.write_text(json.dumps({"window_size": 6000}))
     with pytest.raises(ConfigError, match="window_size"):
         PipelineConfig.from_file(unknown)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"method": "spectral"}\xff')
+    with pytest.raises(ConfigError, match="cannot read config"):
+        PipelineConfig.from_file(latin)
 
 
 def test_exit_code_mapping():
@@ -452,6 +456,25 @@ def test_composite_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):
     result = run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3))
     assert result.report["duration_s"] == 18.0
     assert (tmp_path / "out" / "plots" / "waveform.svg").is_file()
+
+
+@pytest.mark.parametrize("method", ["both", "spectral", "incres", "incres-embedding"])
+def test_a_run_labels_the_graph_components_once(tmp_path, monkeypatch, method):
+    # the graph holds its components; the eigensolver and each reseeding run read them
+    from passby import graph, incres, spectral
+
+    calls = []
+    labels = graph.component_labels
+
+    def counted(adjacency):
+        calls.append(adjacency.shape)
+        return labels(adjacency)
+
+    for module in (graph, spectral, incres):
+        if hasattr(module, "component_labels"):
+            monkeypatch.setattr(module, "component_labels", counted)
+    run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), method=method, k=3, iterations=20))
+    assert calls == [(144, 144)]
 
 
 def test_interrupt_discards_artifacts_and_propagates(tmp_path, monkeypatch):
@@ -603,13 +626,19 @@ def test_cli_manifest_with_a_byte_order_mark(tmp_path, capsys, default_run):
 def test_cli_config_file_flow(tmp_path, capsys):
     out = tmp_path / "cfgrun"
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"method": "spectral", "k": 3, "restarts": 5}))
+    # a spreadsheet or editor may save UTF-8 with a byte order mark
+    cfg_path.write_text(json.dumps({"method": "spectral", "k": 3, "restarts": 5}), encoding="utf-8-sig")
     code = main(["--config", str(cfg_path), "--out", str(out), "--restarts", "8"])
     assert code == 0
     with open(out / "report.json") as fh:
         report = json.load(fh)
     assert report["parameters"]["method"] == "spectral"
     assert report["parameters"]["restarts"] == 8  # flag overrides the file
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(json.dumps({"manifest": "caf\xe9.csv"}, ensure_ascii=False).encode("latin-1"))
+    capsys.readouterr()
+    assert main(["--config", str(latin), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "cannot read config" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ plots

@@ -220,7 +220,15 @@ def test_manifest_not_utf8_is_manifest_error(tmp_path):
 def test_manifest_bad_number(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("path,label,start_s,duration_s\na.wav,x,zero,1\n")
-    with pytest.raises(ManifestError):
+    with pytest.raises(ManifestError, match=r"m\.csv:2: bad row"):
+        read_manifest(path)
+
+
+def test_manifest_bad_row_is_named_by_its_file_line(tmp_path):
+    # the first row's quoted label spans lines 2 and 3, so the bad row is on line 4
+    path = tmp_path / "m.csv"
+    path.write_text('path,label,start_s,duration_s\na.wav,"heavy\ntruck",0,1\nb.wav,x,zero,1\n')
+    with pytest.raises(ManifestError, match=r"m\.csv:4: bad row"):
         read_manifest(path)
 
 

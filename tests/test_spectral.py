@@ -189,7 +189,7 @@ def test_eigendecompose_per_component_matches_dense_oracle():
         for j, first in enumerate(firsts):
             idx = np.flatnonzero(reach[first])
             expected = np.zeros(n)
-            expected[idx] = np.sqrt(lap.degrees[idx]) / np.linalg.norm(np.sqrt(lap.degrees[idx]))
+            expected[idx] = np.sqrt(g.degrees[idx]) / np.linalg.norm(np.sqrt(g.degrees[idx]))
             assert np.array_equal(emb.eigenvectors[:, j], expected)
         # every other column also lives on a single component
         for j in range(c, p):
