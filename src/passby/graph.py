@@ -81,7 +81,7 @@ class SimilarityGraph:
 
     def __post_init__(self) -> None:
         # float64 CSR with sorted indices, no duplicates and no stored zeros
-        W = sparse.csr_array(self.weights, dtype=np.float64)
+        W = sparse.csr_array(self.weights, dtype=np.float64, copy=True)  # the caller's stays
         if W.shape[0] != W.shape[1]:
             raise ValueError("weights must be a square matrix")
         W.sum_duplicates()

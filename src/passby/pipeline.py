@@ -208,7 +208,7 @@ def _derived_seed(seed: int, tag: int) -> int:
 
 
 class _Stages:
-    """Times each stage and tracks the files a run writes, so a failure can remove them."""
+    """Times each stage and writes the run's files, tracking each so a failure can remove them."""
 
     def __init__(self, out: Path) -> None:
         self.out = out
@@ -229,6 +229,12 @@ class _Stages:
         self.created.append(path)
         return path
 
+    def write_text(self, name: str, text: str) -> Path:
+        path = self.track(self.out / name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        return path
+
     def write_csv(self, name: str, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
         with open(self.track(self.out / name), "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -236,9 +242,7 @@ class _Stages:
             writer.writerows(rows)
 
     def write_json(self, name: str, payload: dict[str, Any]) -> None:
-        with open(self.track(self.out / name), "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        self.write_text(name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     def discard_artifacts(self) -> None:
         for path in self.created:
@@ -334,18 +338,18 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
 
     methods = ("spectral", "incres") if cfg.method == "both" else (cfg.method,)
     primary = methods[-1]
-    method_labels: dict[str, np.ndarray] = {}
-    method_extras: dict[str, dict[str, Any]] = {}
+    partitions: dict[str, Partition] = {}
+    records: dict[str, dict[str, Any]] = {}  # the report's `methods` block
     with stages.stage("cluster"):
         for method in methods:
             if method == "spectral":
                 km = spectral_cluster(embedding, k_used, cfg.kmeans_config(1))
-                method_labels[method] = km.partition.labels
-                method_extras[method] = {"wcss": km.wcss, "restart_index": km.restart_index}
+                partitions[method] = km.partition
+                records[method] = {"wcss": km.wcss, "restart_index": km.restart_index}
             elif method == "incres":
                 res = incres_cluster(graph, k_used, cfg.incres_config(2))
-                method_labels[method] = res.partition.labels
-                method_extras[method] = {
+                partitions[method] = res.partition
+                records[method] = {
                     "grow_steps_total": int(sum(res.grow_steps)),
                     "grow_steps_max": int(max(res.grow_steps)),
                     "cap_exhausted_rounds": int(sum(res.cap_exhausted)),
@@ -354,31 +358,32 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
             else:  # incres-embedding
                 E, _ = incres_embedding(graph, k_used, cfg.incres_config(3))
                 km = kmeans(E, k_used, cfg.kmeans_config(4))
-                method_labels[method] = km.partition.labels
-                method_extras[method] = {"wcss": km.wcss, "columns": E.shape[1]}
+                partitions[method] = km.partition
+                records[method] = {"wcss": km.wcss, "columns": E.shape[1]}
 
-    evals: dict[str, dict[str, Any]] = {}
     with stages.stage("evaluate"):
         mids = features.start_times + features.window_len / (2.0 * features.sample_rate)
         truth_names = labels_from_spans(spans, mids)
         truth_ids, class_names = densify(truth_names)
-        for method, labels in method_labels.items():
-            cm = confusion(truth_ids, Partition(labels=labels, k=k_used), class_names)
-            evals[method] = {
-                "purity": purity(cm),
-                "confusion": cm.counts.tolist(),
-                "alignment": list(align_labels(cm)),
-            }
+        for method, partition in partitions.items():
+            cm = confusion(truth_ids, partition, class_names)
+            records[method].update(
+                purity=purity(cm),
+                confusion=cm.counts.tolist(),
+                alignment=list(align_labels(cm)),
+                labels=[int(c) for c in partition.labels],
+            )
 
     first_artifact = len(stages.created)
     with stages.stage("artifacts"):
+        primary_labels = partitions[primary].labels
         stages.write_csv(
             "labels.csv",
             ["window_index", "start_s", "cluster", "true_label"],
             (
                 [i, repr(float(t)), int(c), name]
                 for i, (t, c, name) in enumerate(
-                    zip(features.start_times, method_labels[primary], truth_names)
+                    zip(features.start_times, primary_labels, truth_names)
                 )
             ),
         )
@@ -402,29 +407,26 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
                 "scales": [float(s) for s in graph.scales],
             },
         )
-        for method, ev in evals.items():
+        for method, record in records.items():
             stages.write_json(
                 f"confusion_{method}.json",
                 {
                     "method": method,
                     "true_names": list(class_names),
-                    "counts": ev["confusion"],
-                    "purity": ev["purity"],
-                    "alignment": ev["alignment"],
+                    "counts": record["confusion"],
+                    "purity": record["purity"],
+                    "alignment": record["alignment"],
                 },
             )
-        wave_path = stages.track(out / "plots" / "waveform.svg")
-        wave_path.parent.mkdir(parents=True, exist_ok=True)
-        wave_path.write_text(waveform)
-        for path in plots.emit_plots(
-            out,
+        stages.write_text("plots/waveform.svg", waveform)
+        plots.emit_plots(
+            stages.write_text,
             embedding.eigenvalues,
             embedding.eigenvectors,
-            method_labels[primary],
+            primary_labels,
             truth_names,
             graph.weights,
-        ):
-            stages.track(path)
+        )
 
     with stages.stage("report"):
         report = {
@@ -443,14 +445,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
             "true_classes": list(class_names),
             "true_labels": [int(t) for t in truth_ids],
             "primary_method": primary,
-            "methods": {
-                method: {
-                    **evals[method],
-                    **method_extras[method],
-                    "labels": [int(c) for c in method_labels[method]],
-                }
-                for method in method_labels
-            },
+            "methods": records,
             "artifacts": sorted(str(p.relative_to(out)) for p in stages.created[first_artifact:]),
         }
         stages.write_json("report.json", {**report, "timings": stages.timings})

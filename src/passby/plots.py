@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,7 @@ def waveform_svg(envelope: np.ndarray) -> str:
 
 
 def emit_plots(
-    out_dir: str | Path,
+    write: Callable[[str, str], Path],
     eigenvalues: np.ndarray,
     embedding: np.ndarray,
     clusters: np.ndarray,
@@ -171,18 +172,14 @@ def emit_plots(
 ) -> list[Path]:
     """Render the spectrum, embedding, cluster timeline and similarity SVGs.
 
-    Writes them under out_dir/plots and returns their paths.
+    Hands each to `write(f"plots/{name}", svg)` and returns what it returned.
     """
-    plots_dir = Path(out_dir) / "plots"
-    plots_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, svg in (
-        ("spectrum.svg", spectrum_svg(eigenvalues)),
-        ("embedding.svg", embedding_svg(embedding)),
-        ("clusters.svg", timeline_svg(clusters, truth)),
-        ("similarity.svg", heatmap_svg(weights)),
-    ):
-        target = plots_dir / name
-        target.write_text(svg)
-        written.append(target)
-    return written
+    return [
+        write(f"plots/{name}", svg)
+        for name, svg in (
+            ("spectrum.svg", spectrum_svg(eigenvalues)),
+            ("embedding.svg", embedding_svg(embedding)),
+            ("clusters.svg", timeline_svg(clusters, truth)),
+            ("similarity.svg", heatmap_svg(weights)),
+        )
+    ]

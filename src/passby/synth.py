@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -77,29 +77,18 @@ def gen_block_similarity(
 
 
 @dataclass(frozen=True)
-class PassageEnvelope:
-    """Rise/fall of a pass-by over one clip: a squared sine from edge_level to 1.0 mid-clip."""
-
-    edge_level: float = 0.35
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.edge_level <= 1.0:
-            raise ValueError("edge_level must lie in [0, 1]")
-
-    def at(self, t: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-        bump = np.sin(np.pi * t / CLIP_S) ** 2
-        return self.edge_level + (1.0 - self.edge_level) * bump
-
-
-@dataclass(frozen=True)
 class VehicleSpec:
-    """One vehicle's acoustic signature: a harmonic stack over broadband noise."""
+    """One vehicle's acoustic signature: a harmonic stack over broadband noise.
+
+    Each pass rises and falls over its clip as a squared sine, from
+    `edge_level` at the clip's edges to 1.0 mid-clip.
+    """
 
     name: str
     fundamental_hz: float
     harmonic_amps: tuple[float, ...]
     broadband_level: float = 0.06
-    envelope: PassageEnvelope = field(default_factory=PassageEnvelope)
+    edge_level: float = 0.35
     amp_jitter: float = 0.05  # per-clip relative wobble of each harmonic
     rng_seed: int = 0
 
@@ -112,6 +101,8 @@ class VehicleSpec:
             raise ValueError("at least one harmonic must be audible")
         if self.broadband_level < 0.0 or self.amp_jitter < 0.0:
             raise ValueError("broadband_level and amp_jitter must be nonnegative")
+        if not 0.0 <= self.edge_level <= 1.0:
+            raise ValueError("edge_level must lie in [0, 1]")
 
 
 def _scaled(amps: tuple[float, ...], total: float) -> tuple[float, ...]:
@@ -183,7 +174,7 @@ def gen_vehicle_audio(
             wobble = 1.0 + spec.amp_jitter * rng.standard_normal()
             phase = rng.uniform(0.0, 2.0 * np.pi)
             x += amp * wobble * np.sin(2.0 * np.pi * spec.fundamental_hz * h * t + phase)
-        x *= spec.envelope.at(t)
+        x *= spec.edge_level + (1.0 - spec.edge_level) * np.sin(np.pi * t / CLIP_S) ** 2
         x += spec.broadband_level * rng.standard_normal(n)
         spans.append(LabelSpan(spec.name, idx * CLIP_S, (idx + 1) * CLIP_S))
     return AudioSignal(samples=samples, sample_rate=SAMPLE_RATE), spans

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from _helpers import distance_matrix
 
 import passby.graph as graph_module
@@ -306,6 +307,24 @@ def test_similarity_graph_rejects_asymmetry_and_isolation():
     w[0, 1] = w[1, 0] = 0.7
     with pytest.raises(IsolatedVertexError):
         SimilarityGraph(weights=w, scales=np.ones(3), neighbors=1)
+
+
+def test_similarity_graph_leaves_the_callers_csr_alone():
+    # two stored zeros: the graph drops them from its own copy only
+    w = sparse.csr_array(
+        (
+            np.array([0.5, 0.0, 0.5, 0.7, 0.0, 0.7]),
+            np.array([1, 2, 0, 2, 0, 1]),
+            np.array([0, 2, 4, 6]),
+        ),
+        shape=(3, 3),
+    )
+    graph = SimilarityGraph(weights=w, scales=np.ones(3), neighbors=1)
+    assert graph.weights.nnz == 4
+    assert w.nnz == 6
+    assert w.indptr.tolist() == [0, 2, 4, 6]
+    assert w.indices.tolist() == [1, 2, 0, 2, 0, 1]
+    assert w.data.tolist() == [0.5, 0.0, 0.5, 0.7, 0.0, 0.7]
 
 
 # ---------------------------------------------------------------- laplacian

@@ -19,6 +19,7 @@ from scipy import sparse
 from scipy.io import wavfile
 
 from _helpers import waveform_by_loop
+from passby import plots
 from passby.cli import build_parser, main
 from passby.evaluate import align_labels, confusion, purity
 from passby.graph import ZeroNormError, knn_graph, laplacian
@@ -48,7 +49,7 @@ from passby.signal import (
     write_wav,
 )
 from passby.spectral import KmeansConfig, Partition, eigendecompose, spectral_cluster
-from passby.synth import PassageEnvelope, default_vehicle_bank, gen_vehicle_audio
+from passby.synth import default_vehicle_bank, gen_vehicle_audio
 
 EXPECTED_ARTIFACTS = [
     "confusion_incres.json",
@@ -433,6 +434,50 @@ def test_artifacts_failure_discards_everything_written(tmp_path, monkeypatch):
     assert excinfo.value.stage == "artifacts"
     assert exit_code_for(excinfo.value) == EXIT_UNEXPECTED
     assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_failed_plot_write_discards_the_plots_already_written(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    write_text = Path.write_text
+
+    def failing_write_text(self, *args, **kwargs):
+        if self.name == "clusters.svg":
+            assert (out / "plots" / "spectrum.svg").is_file()
+            raise OSError("disk full")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    with pytest.raises(StageError) as excinfo:
+        run_pipeline(PipelineConfig(out_dir=str(out)))
+    assert excinfo.value.stage == "artifacts"
+    assert exit_code_for(excinfo.value) == EXIT_IO
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_emit_plots_hands_every_plot_to_write_and_returns_its_results():
+    written = []
+
+    def write(name, text):
+        assert text.startswith("<svg ")
+        written.append(name)
+        return f"path of {name}"
+
+    rng = np.random.default_rng(0)
+    returned = plots.emit_plots(
+        write,
+        np.array([0.0, 0.5, 1.0]),
+        rng.standard_normal((6, 3)),
+        np.array([0, 0, 1, 1, 2, 2]),
+        ["a", "a", "b", "b", "c", "c"],
+        sparse.csr_array(np.ones((6, 6)) - np.eye(6)),
+    )
+    assert written == [
+        "plots/spectrum.svg",
+        "plots/embedding.svg",
+        "plots/clusters.svg",
+        "plots/similarity.svg",
+    ]
+    assert returned == [f"path of {name}" for name in written]
 
 
 def test_composite_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):
@@ -853,9 +898,7 @@ def test_flat_envelope_concentrates_errors_at_clip_edges():
     # with no envelope and stronger noise, window features at clip edges sit
     # closest to other vehicles' windows, so misclusterings pile up there
     bank = tuple(
-        dataclasses.replace(
-            spec, envelope=PassageEnvelope(edge_level=0.0), broadband_level=0.10
-        )
+        dataclasses.replace(spec, edge_level=0.0, broadband_level=0.10)
         for spec in default_vehicle_bank()
     )
     signal, spans = gen_vehicle_audio(bank, rng_seed=0)

@@ -12,7 +12,6 @@ from passby.signal import WindowingConfig, stft_features
 from passby.spectral import KmeansConfig, Partition, eigendecompose, spectral_cluster
 from passby.synth import (
     BlockSpec,
-    PassageEnvelope,
     VehicleSpec,
     default_vehicle_bank,
     gen_block_similarity,
@@ -156,7 +155,7 @@ def test_vehicle_spec_validation():
     with pytest.raises(ValueError):
         VehicleSpec(name="x", fundamental_hz=30.0, harmonic_amps=(0.0, 0.0))
     with pytest.raises(ValueError):
-        PassageEnvelope(edge_level=1.5)
+        VehicleSpec(name="x", fundamental_hz=30.0, harmonic_amps=(1.0,), edge_level=1.5)
 
 
 def _clean_spec(name, hz):
@@ -167,7 +166,7 @@ def _clean_spec(name, hz):
         harmonic_amps=(1.0, 0.5, 0.25),
         broadband_level=0.0,
         amp_jitter=0.0,
-        envelope=PassageEnvelope(edge_level=1.0),
+        edge_level=1.0,
     )
 
 
