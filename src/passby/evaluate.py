@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb
+from math import comb, perm
 
 import numpy as np
 import numpy.typing as npt
@@ -12,7 +12,7 @@ import numpy.typing as npt
 from .signal import LabelSpan
 from .spectral import Partition
 
-ALIGN_LIMIT = 8  # up to this many labels, alignment is exhaustive over permutations
+ALIGN_LIMIT = 40_320  # 8!: alignment is exhaustive up to this many candidate maps
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ def align_labels(cm: ConfusionMatrix) -> tuple[int, ...]:
 
     Returns one true-class index per cluster (-1 for clusters left unmatched
     when there are more clusters than classes).  Ties keep the
-    lexicographically first assignment.  Up to ALIGN_LIMIT labels the search
-    is exhaustive over permutations; above it, the assignment problem is
-    solved (see `_first_best_assignment`).
+    lexicographically first assignment.  While the candidate maps number at
+    most ALIGN_LIMIT the search is exhaustive over them; above it, the
+    assignment problem is solved (see `_first_best_assignment`).
     """
     n_true, k = cm.counts.shape
     if k <= n_true:  # a distinct class for each cluster
@@ -85,22 +85,19 @@ def align_labels(cm: ConfusionMatrix) -> tuple[int, ...]:
 def _first_best_assignment(scores: npt.NDArray[np.int64]) -> tuple[int, ...]:
     """Lexicographically first injective row -> column map of maximal total score.
 
-    `scores` has no more rows than columns.  Up to ALIGN_LIMIT columns the
-    permutations are tried in lexicographic order.  Above it, each row in
+    `scores` has no more rows than columns.  While the maps number at most
+    ALIGN_LIMIT they are tried in lexicographic order.  Above it, each row in
     turn takes the smallest column for which a `linear_sum_assignment`
     re-solve of the remaining rows over the remaining columns still reaches
     the optimum.
     """
     rows, cols = scores.shape
-    if cols <= ALIGN_LIMIT:
-        best_score = -1
-        best: tuple[int, ...] = ()
-        for perm in permutations(range(cols), rows):
-            score = sum(int(scores[r, perm[r]]) for r in range(rows))
-            if score > best_score:
-                best_score = score
-                best = perm
-        return best
+    if perm(cols, rows) <= ALIGN_LIMIT:
+        table = scores.tolist()
+        # permutations come in lexicographic order, and max keeps the first of equal totals
+        return max(
+            permutations(range(cols), rows), key=lambda m: sum(table[r][c] for r, c in enumerate(m))
+        )
     from scipy.optimize import linear_sum_assignment  # only tables this large need it
 
     def optimum(free_rows: list[int], free_cols: list[int]) -> int:

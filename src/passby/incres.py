@@ -146,31 +146,22 @@ def incres_cluster(graph: SimilarityGraph, k: int, cfg: IncresConfig = IncresCon
     cap = 10 * n
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed))
     labels = rng.integers(0, k, size=n).astype(np.int64)
-    steps_taken: list[int] = []
-    capped: list[bool] = []
-    limits: list[bool] = []
-    mass = np.zeros((n, k))
+    rounds: list[tuple[int, bool, bool]] = []  # (steps, cap_exhausted, limit) per round
     for round_index in range(1, cfg.iterations + 1):
         budget = seeds_for_round(cfg.seed_rate, round_index)
         mass = plant(Partition(labels=labels, k=k), budget, rng)
-        settled = stationary_limit(mass, graph.component, graph.degrees)
-        # the limit holds mass exactly on the components that hold a seed
-        limit = not (settled > 0.0).any(axis=1).all()
+        # stepping never reaches a component that holds no seed
+        seeded = np.bincount(graph.component, weights=mass.sum(axis=1))
+        limit = not (seeded > 0.0).all()
         if limit:
-            mass, steps, exhausted = settled, 0, True
+            mass = stationary_limit(mass, graph.component, graph.degrees)
+            steps, exhausted = 0, True
         else:
             mass, steps, exhausted = grow(mass, P, cap)
         labels = harvest(mass, labels)
-        steps_taken.append(steps)
-        capped.append(exhausted)
-        limits.append(limit)
-    return IncresResult(
-        partition=Partition(labels=labels, k=k),
-        seed_mass=mass,
-        grow_steps=tuple(steps_taken),
-        cap_exhausted=tuple(capped),
-        limit_rounds=tuple(limits),
-    )
+        rounds.append((steps, exhausted, limit))
+    steps_taken, capped, limits = zip(*rounds)
+    return IncresResult(Partition(labels=labels, k=k), mass, steps_taken, capped, limits)
 
 
 def _canonical_levels(partition: Partition) -> npt.NDArray[np.float64]:

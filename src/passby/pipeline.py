@@ -8,7 +8,7 @@ import math
 import numbers
 import time
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -213,7 +213,8 @@ class _Stages:
     def __init__(self, out: Path) -> None:
         self.out = out
         self.timings: dict[str, float] = {}
-        self.created: list[Path] = []
+        self.created: list[Path] = []  # files, in the order written
+        self.made_dirs: list[Path] = []  # directories this run made, parents first
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -229,9 +230,14 @@ class _Stages:
         self.created.append(path)
         return path
 
+    def make_dir(self, path: Path) -> None:
+        """`mkdir -p`, recording first each directory it will make."""
+        self.made_dirs.extend(d for d in reversed((path, *path.parents)) if not d.exists())
+        path.mkdir(parents=True, exist_ok=True)
+
     def write_text(self, name: str, text: str) -> Path:
         path = self.track(self.out / name)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        self.make_dir(path.parent)
         path.write_text(text)
         return path
 
@@ -245,18 +251,20 @@ class _Stages:
         self.write_text(name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     def discard_artifacts(self) -> None:
+        """Remove the files written, then each directory made if it is empty, deepest first."""
         for path in self.created:
-            try:
+            with suppress(OSError):
                 if path.is_file():
                     path.unlink()
-            except OSError:
-                pass
+        for path in reversed(self.made_dirs):
+            with suppress(OSError):
+                path.rmdir()  # fails on a directory that holds files this run did not write
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute every stage and write all artifacts into cfg.out_dir.
 
-    Any stage failure removes the artifacts this run already wrote and
+    Any stage failure removes the files and directories this run made and
     re-raises as StageError naming the stage.  An interrupt (KeyboardInterrupt,
     SystemExit) removes them too and propagates unchanged.
     """
@@ -279,7 +287,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
             )
 
     with stages.stage("setup"):
-        out.mkdir(parents=True, exist_ok=True)
+        stages.make_dir(out)
         if cfg.manifest is not None and not Path(cfg.manifest).is_file():
             raise ConfigError(f"manifest {cfg.manifest} does not exist")
 

@@ -15,6 +15,10 @@ from scipy.io import wavfile
 STFT_BLOCK_ROWS = 32  # windows transformed together in stft_features
 WAVEFORM_COLUMNS = 600  # time columns of the min/max envelope stft_features keeps
 TAPERS = ("box", "hamming")  # per-window tapers; "box" leaves the samples as they are
+# integer PCM formats and the full scale each divides by; uint8 is offset by it
+# first.  24-bit PCM arrives widened into the top bytes of int32, so one scale
+# realizes v/2^23 for 24-bit data and v/2^31 for true 32-bit.
+PCM_SCALES = {np.dtype(np.uint8): 128.0, np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}
 
 
 class AudioIOError(Exception):
@@ -70,7 +74,7 @@ class Recording:
         for crop in self.crops:
             if crop.ndim != 1 and crop.shape[1:] != (2,):
                 raise ValueError(f"a crop must be mono or two-channel, got shape {crop.shape}")
-            if crop.dtype not in (np.uint8, np.int16, np.int32, np.float32, np.float64):
+            if crop.dtype not in PCM_SCALES and crop.dtype not in (np.float32, np.float64):
                 raise ValueError(f"crop sample format {crop.dtype} not supported")
 
     @property
@@ -202,7 +206,7 @@ def _read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     if data.dtype == np.float32:
         if not np.isfinite(data).all():
             raise AudioIOError(f"{path}: non-finite (NaN or inf) samples")
-    elif data.dtype not in (np.uint8, np.int16, np.int32):
+    elif data.dtype not in PCM_SCALES:
         raise UnsupportedEncodingError(f"{path}: sample format {data.dtype} not supported")
     return int(rate), data
 
@@ -217,15 +221,11 @@ def _to_float(raw: np.ndarray, out: np.ndarray) -> None:
         out /= raw.shape[1]
     else:
         out[...] = raw
-    if raw.dtype == np.uint8:
-        out -= 128.0
-        out /= 128.0
-    elif raw.dtype == np.int16:
-        out /= 2.0**15
-    elif raw.dtype == np.int32:
-        # 24-bit PCM arrives widened into the top bytes of int32, so one
-        # scale realizes v/2^23 for 24-bit data and v/2^31 for true 32-bit.
-        out /= 2.0**31
+    scale = PCM_SCALES.get(raw.dtype)
+    if scale is not None:
+        if raw.dtype == np.uint8:
+            out -= scale
+        out /= scale
 
 
 def write_wav(signal: AudioSignal, path: str | Path, encoding: str = "float32") -> None:

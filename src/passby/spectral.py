@@ -101,23 +101,19 @@ def eigendecompose(lap: Laplacian, p: int) -> SpectralEmbedding:
     sizes = np.bincount(component)
     # vertices of each component, ascending; components ordered by smallest vertex
     members = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes)[:-1])
-    values, vectors = [], []
-    for idx in members:
-        vals, vecs = _block_pairs(L[idx][:, idx], degrees[idx], p)
-        values.append(vals)
-        vectors.append(vecs)
-    counts = [v.size for v in values]
-    owner = np.repeat(np.arange(len(counts)), counts)
-    position = np.concatenate([np.arange(count) for count in counts])
-    merged = np.concatenate(values)
-    # stable: equal eigenvalues keep (component, position in block) order
-    keep = np.argsort(merged, kind="stable")[:p]
-    vals = merged[keep]
+    blocks = [_block_pairs(L[idx][:, idx], degrees[idx], p) for idx in members]
+    pairs = sorted(
+        (value, c, i)
+        for c, (vals, _) in enumerate(blocks)
+        for i, value in enumerate(vals.tolist())
+    )[:p]
+    vals = np.array([value for value, _, _ in pairs])
     vecs = np.zeros((n, p))
-    for j, i in enumerate(keep):
-        col = vectors[owner[i]][:, position[i]]
+    for j, (_, c, i) in enumerate(pairs):
+        col = blocks[c][1][:, i]
         lead = int(np.argmax(np.abs(col)))
-        vecs[members[owner[i]], j] = -col if col[lead] < 0.0 else col
+        # flipped on the component's own rows: the zeros outside it stay +0.0
+        vecs[members[c], j] = -col if col[lead] < 0.0 else col
     residuals = np.linalg.norm(L @ vecs - vecs * vals, axis=0)
     bad = np.flatnonzero(residuals >= RESIDUAL_TOL)
     if bad.size:
@@ -236,10 +232,8 @@ def kmeans(points: npt.ArrayLike, k: int, cfg: KmeansConfig = KmeansConfig()) ->
     does not depend on execution order; WCSS ties keep the earliest restart.
     """
     X = np.asarray(points, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.ndim != 2:
-        raise ValueError("points must be a 1-D or 2-D array")
+        raise ValueError("points must be a 2-D array")
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")

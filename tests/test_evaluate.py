@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,7 +159,9 @@ def _align_by_brute_force(counts):
 
 
 def test_align_large_tables_by_assignment():
-    # above the exhaustive limit the assignment solver aligns, with the same ties
+    # the 9 x 9 and 12 x 12 tables have more maps than the exhaustive limit, so
+    # the assignment solver aligns them; the 3 x 10, 10 x 3 and 2 x 9 tables
+    # have few enough to search, and both routes keep the same ties
     assert align_labels(_cm(np.eye(9, dtype=int).tolist())) == tuple(range(9))
     assert align_labels(_cm(np.ones((9, 9), dtype=int).tolist())) == tuple(range(9))
     perm = np.random.default_rng(5).permutation(12)
@@ -166,6 +172,26 @@ def test_align_large_tables_by_assignment():
     for shape in ((3, 10), (10, 3), (2, 9)):
         counts = rng.integers(0, 3, size=shape)
         assert align_labels(_cm(counts.tolist())) == _align_by_brute_force(counts)
+
+
+def test_align_small_wide_tables_leave_scipy_optimize_unloaded():
+    # a 3 x 9 table has 504 maps and a 3 x 25 table 13,800: both are searched,
+    # so aligning them costs no import of the assignment solver
+    tables = [np.random.default_rng(8).integers(0, 9, size=(3, k)) for k in (9, 25)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, numpy as np; from passby.evaluate import ConfusionMatrix, align_labels; "
+        f"tables = {[t.tolist() for t in tables]}; "
+        "cms = [ConfusionMatrix(np.array(t), ('a', 'b', 'c')) for t in tables]; "
+        "print([list(align_labels(cm)) for cm in cms]); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    alignments, loaded = out.stdout.splitlines()
+    assert alignments == str([list(_align_by_brute_force(t)) for t in tables])
+    assert loaded == "False"
 
 
 def test_align_forced_assignment_matches_brute_force(monkeypatch):

@@ -10,6 +10,7 @@ from scipy import sparse, stats
 from scipy.sparse.csgraph import connected_components
 
 from _helpers import as_sets
+from passby import incres
 from passby.evaluate import rand_index
 from passby.graph import SimilarityGraph, component_labels, knn_graph
 from passby.incres import (
@@ -349,6 +350,46 @@ def test_incres_unseeded_components_take_the_limit_not_the_cap():
     assert res.cap_exhausted == res.limit_rounds
     for steps, limit in zip(res.grow_steps, res.limit_rounds):
         assert not limit or steps == 0
+
+
+def test_incres_solves_the_limit_on_limit_rounds_only(monkeypatch):
+    graph = _vehicle_graph()
+    calls = []
+    real = incres.stationary_limit
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(incres, "stationary_limit", counting)
+    res = incres_cluster(graph, 3, IncresConfig(rng_seed=1))
+    assert 0 < len(calls) == sum(res.limit_rounds) < len(res.limit_rounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_seed_count_per_component_decides_where_the_limit_holds_mass(data):
+    # disjoint weighted cliques, shuffled; few seeds may miss some of them
+    sizes = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
+    n = sum(sizes)
+    W = np.zeros((n, n))
+    start = 0
+    weight = st.floats(0.01, 10.0)
+    for size in sizes:
+        drawn = data.draw(st.lists(weight, min_size=size**2, max_size=size**2))
+        upper = np.triu(np.reshape(drawn, (size, size)), 1)
+        W[start : start + size, start : start + size] = upper + upper.T
+        start += size
+    order = np.array(data.draw(st.permutations(range(n))))
+    graph = SimilarityGraph(weights=W[np.ix_(order, order)], scales=np.ones(n), neighbors=1)
+    k = data.draw(st.integers(2, 3))
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mass = plant(Partition(labels=labels, k=k), data.draw(st.integers(1, 2)), rng)
+    seeded = np.bincount(graph.component, weights=mass.sum(axis=1)) > 0.0
+    held = (stationary_limit(mass, graph.component, graph.degrees) > 0.0).any(axis=1)
+    assert seeded.all() == held.all()
+    assert np.array_equal(held, seeded[graph.component])
 
 
 @pytest.mark.parametrize("seed", [1, 4, 8, 17])

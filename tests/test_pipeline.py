@@ -437,21 +437,26 @@ def test_artifacts_failure_discards_everything_written(tmp_path, monkeypatch):
 
 
 def test_failed_plot_write_discards_the_plots_already_written(tmp_path, monkeypatch):
-    out = tmp_path / "out"
     write_text = Path.write_text
 
     def failing_write_text(self, *args, **kwargs):
         if self.name == "clusters.svg":
-            assert (out / "plots" / "spectrum.svg").is_file()
+            assert (self.parent / "spectrum.svg").is_file()
             raise OSError("disk full")
         return write_text(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "write_text", failing_write_text)
-    with pytest.raises(StageError) as excinfo:
-        run_pipeline(PipelineConfig(out_dir=str(out)))
-    assert excinfo.value.stage == "artifacts"
-    assert exit_code_for(excinfo.value) == EXIT_IO
-    assert [p for p in out.rglob("*") if p.is_file()] == []
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "keep.txt").write_bytes(b"not the run's")
+    before = sorted(tmp_path.rglob("*"))
+    # a missing out directory, one with a missing parent, and one that holds a file
+    for out in (tmp_path / "out", tmp_path / "o_fail" / "run", kept):
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(PipelineConfig(out_dir=str(out)))
+        assert excinfo.value.stage == "artifacts"
+        assert exit_code_for(excinfo.value) == EXIT_IO
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_emit_plots_hands_every_plot_to_write_and_returns_its_results():

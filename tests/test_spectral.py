@@ -197,6 +197,31 @@ def test_eigendecompose_per_component_matches_dense_oracle():
             assert np.all(reach[support[0], support])
 
 
+def test_eigendecompose_orders_ties_by_component_then_position():
+    # two interleaved copies each of a 4-clique and a weighted path: every
+    # eigenvalue of a copy ties with its twin's, the copy holding the smaller
+    # smallest vertex comes first, and within a copy its own order holds
+    clique = np.ones((4, 4)) - np.eye(4)
+    path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.4], [0.0, 0.4, 0.0]])
+    copies = [(clique, [1, 4, 6, 9]), (path, [2, 5, 10]), (clique, [0, 3, 7, 13]), (path, [8, 11, 12])]
+    w = np.zeros((14, 14))
+    for block, rows in copies:
+        w[np.ix_(rows, rows)] = block
+    emb = eigendecompose(laplacian(_graph_of(w)), p=14)
+    expected = []
+    for block, rows in copies:
+        own = eigendecompose(laplacian(_graph_of(block)), p=len(rows))
+        for i in range(len(rows)):
+            col = np.zeros(14)
+            col[rows] = own.eigenvectors[:, i]
+            expected.append((own.eigenvalues[i], rows[0], i, col))
+    expected.sort(key=lambda pair: pair[:3])
+    assert emb.eigenvalues.tolist() == [value for value, _, _, _ in expected]
+    assert [first for _, first, _, _ in expected][:4] == [0, 1, 2, 8]
+    for j, (_, _, _, col) in enumerate(expected):
+        assert np.array_equal(emb.eigenvectors[:, j], col)
+
+
 def _cycle_weights(m):
     i = np.arange(m)
     W = sparse.coo_array((np.ones(m), (i, (i + 1) % m)), shape=(m, m))
@@ -434,6 +459,8 @@ def test_kmeans_k_out_of_range():
         kmeans(pts, k=0)
     with pytest.raises(ValueError):
         kmeans(pts, k=4)
+    with pytest.raises(ValueError):
+        kmeans(np.zeros(3), k=2)  # points are rows of a 2-D array
 
 
 # -------------------------------------------------------- spectral_cluster
