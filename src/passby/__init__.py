@@ -1,111 +1,1 @@
 """Clustering of roadside vehicle audio via spectral embeddings and incremental reseeding."""
-
-from .evaluate import (
-    ConfusionMatrix,
-    align_labels,
-    confusion,
-    labels_from_spans,
-    purity,
-    rand_index,
-)
-from .graph import (
-    Laplacian,
-    SimilarityGraph,
-    knn_graph,
-    knn_graph_from_distances,
-    laplacian,
-    pairwise_cosine_distances,
-)
-from .incres import (
-    IncresConfig,
-    IncresResult,
-    grow,
-    harvest,
-    incres_cluster,
-    incres_embedding,
-    plant,
-    transition_matrix,
-)
-from .pipeline import PipelineConfig, RunResult, run_pipeline
-from .signal import (
-    AudioSignal,
-    FeatureMatrix,
-    LabelSpan,
-    ManifestEntry,
-    Recording,
-    WindowingConfig,
-    assemble_composite,
-    read_manifest,
-    stft_features,
-    write_manifest,
-    write_wav,
-)
-from .spectral import (
-    KmeansConfig,
-    KmeansResult,
-    Partition,
-    SpectralEmbedding,
-    eigendecompose,
-    estimate_k,
-    kmeans,
-    spectral_cluster,
-)
-from .synth import (
-    BlockSpec,
-    VehicleSpec,
-    default_vehicle_bank,
-    gen_block_similarity,
-    gen_vehicle_audio,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AudioSignal",
-    "BlockSpec",
-    "ConfusionMatrix",
-    "FeatureMatrix",
-    "IncresConfig",
-    "IncresResult",
-    "KmeansConfig",
-    "KmeansResult",
-    "LabelSpan",
-    "Laplacian",
-    "ManifestEntry",
-    "Partition",
-    "PipelineConfig",
-    "Recording",
-    "RunResult",
-    "SimilarityGraph",
-    "SpectralEmbedding",
-    "VehicleSpec",
-    "WindowingConfig",
-    "align_labels",
-    "assemble_composite",
-    "confusion",
-    "default_vehicle_bank",
-    "eigendecompose",
-    "estimate_k",
-    "gen_block_similarity",
-    "gen_vehicle_audio",
-    "grow",
-    "harvest",
-    "incres_cluster",
-    "incres_embedding",
-    "kmeans",
-    "knn_graph",
-    "knn_graph_from_distances",
-    "labels_from_spans",
-    "laplacian",
-    "pairwise_cosine_distances",
-    "plant",
-    "purity",
-    "rand_index",
-    "read_manifest",
-    "run_pipeline",
-    "spectral_cluster",
-    "stft_features",
-    "transition_matrix",
-    "write_manifest",
-    "write_wav",
-]

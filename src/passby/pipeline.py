@@ -278,12 +278,20 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
 def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
     out = stages.out
+    pairs = cfg.k_max + 1 if cfg.k == "auto" else cfg.k  # eigenpairs choosing k reads
 
-    def check_length(n_samples: int) -> None:
+    def check_input(n_samples: int) -> None:
+        """The limits the input's length sets, checked before any work depends on them."""
         if n_samples < cfg.window_len:
             raise ConfigError(
                 f"the input has {n_samples} samples, "
                 f"fewer than one window of window_len={cfg.window_len}"
+            )
+        n = cfg.windowing().n_windows(n_samples)
+        if cfg.neighbors >= n or pairs > n:
+            raise ConfigError(
+                f"the input has {n} windows; neighbors={cfg.neighbors} needs "
+                f"{cfg.neighbors + 1} and k={cfg.k!r} (k_max={cfg.k_max}) needs {pairs}"
             )
 
     with stages.stage("setup"):
@@ -297,7 +305,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
         else:
             bank = default_vehicle_bank()
             # the synthetic input's length is known before anything is made or written
-            check_length(len(bank) * PASSES * round(CLIP_S * SAMPLE_RATE))
+            check_input(len(bank) * PASSES * round(CLIP_S * SAMPLE_RATE))
             synthetic, synthetic_spans = gen_vehicle_audio(bank, rng_seed=cfg.seed)
             write_wav(synthetic, stages.track(out / "synthetic.wav"), encoding="float32")
             del synthetic  # ingest reads it back from the file
@@ -315,7 +323,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
 
     with stages.stage("ingest"):
         recording, spans = assemble_composite(entries, base_dir=base_dir)
-        check_length(recording.n_samples)
+        check_input(recording.n_samples)
 
     with stages.stage("features"):
         features = stft_features(recording, cfg.windowing())
@@ -326,22 +334,15 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
         del recording
 
     with stages.stage("graph"):
-        n = features.n_windows
-        pairs = cfg.k_max + 1 if cfg.k == "auto" else cfg.k  # eigenpairs choosing k reads
-        if cfg.neighbors >= n or pairs > n:
-            raise ConfigError(
-                f"the input has {n} windows; neighbors={cfg.neighbors} needs "
-                f"{cfg.neighbors + 1} and k={cfg.k!r} (k_max={cfg.k_max}) needs {pairs}"
-            )
         graph = knn_graph(features.values, neighbors=cfg.neighbors)
         lap = laplacian(graph)
 
     with stages.stage("spectrum"):
-        embedding = eigendecompose(lap, min(n, max(cfg.k_max + 1, 20, pairs)))
+        embedding = eigendecompose(lap, min(features.n_windows, max(cfg.k_max + 1, 20, pairs)))
         k_estimated = (
             estimate_k(embedding.eigenvalues, cfg.k_max) if embedding.p >= cfg.k_max + 1 else None
         )
-        # with k = auto the graph stage ensured n > k_max, so k_estimated is set
+        # with k = auto, check_input ensured n > k_max, so k_estimated is set
         k_used = k_estimated if cfg.k == "auto" else cfg.k
 
     methods = ("spectral", "incres") if cfg.method == "both" else (cfg.method,)

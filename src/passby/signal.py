@@ -125,6 +125,10 @@ class WindowingConfig:
         """Samples between consecutive window starts."""
         return round(self.window_len * (1.0 - self.overlap))
 
+    def n_windows(self, n_samples: int) -> int:
+        """Whole windows in `n_samples` samples; a trailing partial window is dropped."""
+        return (n_samples - self.window_len) // self.hop + 1
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -193,8 +197,6 @@ def _read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     """
     try:
         rate, data = wavfile.read(str(path))
-    except FileNotFoundError as exc:
-        raise AudioIOError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise UnsupportedEncodingError(f"{path}: {exc}") from exc
     except OSError as exc:
@@ -382,7 +384,7 @@ def stft_features(
     total, w, hop, m = signal.n_samples, cfg.window_len, cfg.hop, cfg.m
     if total < w:
         raise ValueError(f"signal has {total} samples; at least one window of {w} required")
-    n = (total - w) // hop + 1
+    n = cfg.n_windows(total)
     span = (STFT_BLOCK_ROWS - 1) * hop + w
     buf = np.empty(min(span, total))
     taper = np.hamming(w) if cfg.taper == "hamming" else None

@@ -251,20 +251,14 @@ def spectral_cluster(
     embedding: SpectralEmbedding,
     k: int,
     cfg: KmeansConfig = KmeansConfig(),
-    row_normalize: bool = False,
 ) -> KmeansResult:
     """k-means over embedding coordinates.
 
     Clusters on columns 1..k-1 (0-based), i.e. the eigenvectors of the 2nd
-    through k-th smallest eigenvalues.  Row normalization is off by default;
-    zero rows are left untouched when it is on.
+    through k-th smallest eigenvalues, without row normalization.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > embedding.p:
         raise ValueError(f"k={k} needs columns 1..{k - 1}; the embedding has 0..{embedding.p - 1}")
-    pts = embedding.eigenvectors[:, list(range(1, k))]
-    if row_normalize:
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
-        pts = np.divide(pts, norms, out=pts.copy(), where=norms > 0.0)
-    return kmeans(pts, k, cfg)
+    return kmeans(embedding.eigenvectors[:, list(range(1, k))], k, cfg)

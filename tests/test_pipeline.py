@@ -407,15 +407,17 @@ def test_silent_audio_fails_numerically(tmp_path):
     assert exit_code_for(excinfo.value) == EXIT_NUMERICAL
 
 
-def test_failed_run_discards_partial_artifacts(tmp_path):
+def test_failed_run_discards_partial_artifacts(tmp_path, monkeypatch):
+    def zero_norm(*args, **kwargs):
+        raise ZeroNormError("a window has zero norm")
+
+    # synthetic input is written first, then the graph stage fails
+    monkeypatch.setattr("passby.pipeline.knn_graph", zero_norm)
     out = tmp_path / "out"
-    # synthetic input is written first, then the graph stage rejects a
-    # neighbor count larger than the window count
-    cfg = PipelineConfig(out_dir=str(out), neighbors=500)
     with pytest.raises(StageError) as excinfo:
-        run_pipeline(cfg)
+        run_pipeline(PipelineConfig(out_dir=str(out)))
     assert excinfo.value.stage == "graph"
-    assert exit_code_for(excinfo.value) == EXIT_CONFIG
+    assert exit_code_for(excinfo.value) == EXIT_NUMERICAL
     assert not (out / "synthetic.wav").exists()
     assert not (out / "manifest.csv").exists()
     assert not (out / "labels.csv").exists()
@@ -572,12 +574,30 @@ def test_cli_more_than_eight_clusters(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--knn", "144"], ["--k", "145"], ["--k-max", "144"]])
-def test_cli_limits_set_by_the_window_count_are_config_errors(tmp_path, capsys, flags):
+def test_cli_limits_set_by_the_window_count_are_config_errors(tmp_path, capsys, monkeypatch, flags):
+    # checked with the window length, before the synthetic input is made
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the synthetic input was generated")
+
+    monkeypatch.setattr("passby.pipeline.gen_vehicle_audio", no_synthesis)
     out = tmp_path / "o"
     code = main([*flags, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert "stage 'graph' failed" in err and "144 windows" in err
+    assert "stage 'input' failed" in err and "144 windows" in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_cli_limits_set_by_a_manifest_window_count_are_config_errors(tmp_path, capsys):
+    # a manifest's window count is known once its crops are read, before the features
+    write_wav(AudioSignal(samples=np.zeros(8000), sample_rate=8000), tmp_path / "a.wav", "pcm16")
+    write_manifest([ManifestEntry("a.wav", "car", 0.0, 1.0)], tmp_path / "m.csv")
+    out = tmp_path / "o"
+    flags = ["--window-len", "1000", "--m", "100", "--knn", "8"]
+    code = main(["--manifest", str(tmp_path / "m.csv"), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "stage 'ingest' failed" in err and "8 windows" in err
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
@@ -707,6 +727,21 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_module_import_leaves_the_pipeline_unloaded():
+    # the package holds no re-exports, so a module loads only what it imports
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for module, absent in [
+        ("passby.graph", ("passby.pipeline", "passby.plots", "scipy.io")),
+        ("passby.signal", ("passby.pipeline", "passby.plots")),
+        ("passby.spectral", ("passby.pipeline", "passby.plots")),
+    ]:
+        probe = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]", module
 
 
 def test_heatmap_paints_extremes():

@@ -511,14 +511,6 @@ def test_spectral_cluster_single_column_variant():
     assert as_sets(res.partition.labels) == {frozenset(range(6)), frozenset(range(6, 15))}
 
 
-def test_spectral_cluster_row_normalize_runs():
-    rng = np.random.default_rng(9)
-    g = knn_graph(rng.normal(size=(30, 4)) + 2.0, neighbors=5)
-    res = spectral_cluster(_embed(g, p=6), k=3, row_normalize=True, cfg=KmeansConfig(seed=3))
-    assert res.partition.labels.shape == (30,)
-    assert np.all(res.partition.sizes() > 0)
-
-
 def test_spectral_cluster_column_out_of_range():
     emb = _embed(_two_block_graph(sizes=(4, 4)), p=3)
     with pytest.raises(ValueError):
