@@ -12,6 +12,7 @@ component's planted mass spread over the component in proportion to degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +36,8 @@ class IncresConfig:
             raise ValueError("iterations must be positive")
         if self.seed_rate <= 0.0:
             raise ValueError("seed_rate must be positive")
+        if not math.isfinite(self.seed_rate):
+            raise ValueError("seed_rate must be finite")
 
 
 @dataclass(frozen=True)

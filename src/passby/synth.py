@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +16,7 @@ from .signal import AudioSignal, LabelSpan
 SAMPLE_RATE = 48000
 CLIP_S = 2.0  # seconds per pass-by clip
 PASSES = 3  # times each vehicle drives by in the default passages
+SYNTH_BLOCK_SAMPLES = 16384  # samples of a clip built at a time, in one scratch buffer
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,15 @@ class VehicleSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        numbers = (
+            self.fundamental_hz,
+            *self.harmonic_amps,
+            self.broadband_level,
+            self.edge_level,
+            self.amp_jitter,
+        )
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValueError("every VehicleSpec number must be finite")
         if self.fundamental_hz <= 0.0:
             raise ValueError("fundamental_hz must be positive")
         if not self.harmonic_amps or any(a < 0 for a in self.harmonic_amps):
@@ -142,7 +155,9 @@ def gen_vehicle_audio(
     `passages` lists which vehicle drives by in each clip; the default cycles
     through all vehicles `PASSES` times.  Fundamentals of distinct vehicles must
     differ by at least 15%.  Harmonics are enveloped per clip; broadband noise
-    stays constant, so clip edges carry the weakest signatures.
+    stays constant, so clip edges carry the weakest signatures.  Clips are
+    built on one thread per CPU the process may run on; the samples do not
+    depend on that count.
     """
     specs = tuple(specs)
     if not specs:
@@ -162,19 +177,67 @@ def gen_vehicle_audio(
         raise ValueError("passages must index into specs")
     n = int(round(CLIP_S * SAMPLE_RATE))
     t = np.arange(n) / SAMPLE_RATE
-    samples = np.zeros(n * len(passages))
-    spans = []
-    for idx, v in enumerate(passages):
-        spec = specs[v]
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(rng_seed, spec.rng_seed, idx))
-        )
-        x = samples[idx * n : (idx + 1) * n]  # each clip is built in its place
-        for h, amp in enumerate(spec.harmonic_amps, start=1):
-            wobble = 1.0 + spec.amp_jitter * rng.standard_normal()
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            x += amp * wobble * np.sin(2.0 * np.pi * spec.fundamental_hz * h * t + phase)
-        x *= spec.edge_level + (1.0 - spec.edge_level) * np.sin(np.pi * t / CLIP_S) ** 2
-        x += spec.broadband_level * rng.standard_normal(n)
-        spans.append(LabelSpan(spec.name, idx * CLIP_S, (idx + 1) * CLIP_S))
+    samples = np.empty(n * len(passages))
+    # each clip owns its seed stream and its slice of `samples`, so the clips
+    # build at once and their bytes do not depend on the worker count
+    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(passages))) as pool:
+        builds = [
+            pool.submit(_build_clip, samples[idx * n : (idx + 1) * n], specs[v], idx, t, rng_seed)
+            for idx, v in enumerate(passages)
+        ]
+    for build in builds:
+        build.result()
+    spans = [LabelSpan(specs[v].name, idx * CLIP_S, (idx + 1) * CLIP_S) for idx, v in enumerate(passages)]
     return AudioSignal(samples=samples, sample_rate=SAMPLE_RATE), spans
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _build_clip(
+    x: npt.NDArray[np.float64],
+    spec: VehicleSpec,
+    idx: int,
+    t: npt.NDArray[np.float64],
+    rng_seed: int,
+) -> None:
+    """Write clip `idx` into `x`, `SYNTH_BLOCK_SAMPLES` samples at a time.
+
+    Each sample is `sum_h (amp_h * wobble_h) * sin((2 pi f h) * t + phase_h)`
+    over h in order, times the envelope, plus `broadband_level * noise`, with
+    the operations grouped as in that formula, so the bytes match a whole-clip
+    build.  The noise is drawn after every (wobble, phase) pair, block by
+    block, which gives the values of one whole-clip draw.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(rng_seed, spec.rng_seed, idx)))
+    harmonics = []
+    for h, amp in enumerate(spec.harmonic_amps, start=1):
+        wobble = 1.0 + spec.amp_jitter * rng.standard_normal()
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        harmonics.append((2.0 * np.pi * spec.fundamental_hz * h, phase, amp * wobble))
+    scratch = np.empty(SYNTH_BLOCK_SAMPLES)
+    for start in range(0, x.size, SYNTH_BLOCK_SAMPLES):
+        xb = x[start : start + SYNTH_BLOCK_SAMPLES]
+        tb = t[start : start + SYNTH_BLOCK_SAMPLES]
+        buf = scratch[: xb.size]
+        xb.fill(0.0)
+        for omega, phase, level in harmonics:
+            np.multiply(omega, tb, out=buf)
+            buf += phase
+            np.sin(buf, out=buf)
+            buf *= level
+            xb += buf
+        np.multiply(np.pi, tb, out=buf)
+        buf /= CLIP_S
+        np.sin(buf, out=buf)
+        np.square(buf, out=buf)
+        buf *= 1.0 - spec.edge_level
+        buf += spec.edge_level
+        xb *= buf
+        rng.standard_normal(out=buf)
+        buf *= spec.broadband_level
+        xb += buf

@@ -416,6 +416,14 @@ def test_incres_config_validation():
         IncresConfig(seed_rate=0.0)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_incres_config_rejects_a_non_finite_seed_rate(rate):
+    # both used to pass, and incres_cluster then failed in round 1 converting
+    # floor(rate * round) to an int
+    with pytest.raises(ValueError, match="seed_rate must be finite"):
+        IncresConfig(seed_rate=rate)
+
+
 def _vehicle_graph():
     signal, _ = gen_vehicle_audio(default_vehicle_bank(), rng_seed=0)
     features = stft_features(signal, WindowingConfig())

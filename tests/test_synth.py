@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from _helpers import distance_matrix
 
+from passby import synth
 from passby.evaluate import confusion, purity
 from passby.graph import knn_graph, laplacian, pairwise_cosine_distances
 from passby.signal import WindowingConfig, stft_features
 from passby.spectral import KmeansConfig, Partition, eigendecompose, spectral_cluster
 from passby.synth import (
+    CLIP_S,
+    PASSES,
+    SAMPLE_RATE,
     BlockSpec,
     VehicleSpec,
     default_vehicle_bank,
@@ -156,6 +163,87 @@ def test_vehicle_spec_validation():
         VehicleSpec(name="x", fundamental_hz=30.0, harmonic_amps=(0.0, 0.0))
     with pytest.raises(ValueError):
         VehicleSpec(name="x", fundamental_hz=30.0, harmonic_amps=(1.0,), edge_level=1.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("fundamental_hz", float("nan")),
+        ("fundamental_hz", float("inf")),
+        ("harmonic_amps", (1.0, float("nan"))),
+        ("harmonic_amps", (float("inf"),)),
+        ("broadband_level", float("nan")),
+        ("broadband_level", float("inf")),
+        ("amp_jitter", float("nan")),
+        ("amp_jitter", float("inf")),
+        ("edge_level", float("nan")),
+    ],
+    ids=lambda v: v if isinstance(v, str) else repr(v),
+)
+def test_vehicle_spec_rejects_non_finite_numbers(field, value):
+    # each of these used to pass (edge_level NaN aside) and gave non-finite clips
+    kwargs = {"name": "x", "fundamental_hz": 30.0, "harmonic_amps": (1.0,), field: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        VehicleSpec(**kwargs)
+
+
+def _serial_vehicle_audio(specs, passages=None, rng_seed=0):
+    """Reference: the clips built one after another with whole-clip temporaries."""
+    if passages is None:
+        passages = tuple(range(len(specs))) * PASSES
+    n = int(round(CLIP_S * SAMPLE_RATE))
+    t = np.arange(n) / SAMPLE_RATE
+    samples = np.zeros(n * len(passages))
+    for idx, v in enumerate(passages):
+        spec = specs[v]
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(rng_seed, spec.rng_seed, idx)))
+        x = samples[idx * n : (idx + 1) * n]
+        for h, amp in enumerate(spec.harmonic_amps, start=1):
+            wobble = 1.0 + spec.amp_jitter * rng.standard_normal()
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            x += amp * wobble * np.sin(2.0 * np.pi * spec.fundamental_hz * h * t + phase)
+        x *= spec.edge_level + (1.0 - spec.edge_level) * np.sin(np.pi * t / CLIP_S) ** 2
+        x += spec.broadband_level * rng.standard_normal(n)
+    return samples
+
+
+@pytest.mark.parametrize(
+    "passages, seeds",
+    [
+        (None, (0, 1, 2, 3)),
+        ((0, 1, 2) * 10, (5,)),
+        ((1,), (2,)),
+        ((2, 0, 1, 1, 0), (7,)),  # five clips: not a multiple of two or four workers
+    ],
+    ids=["default", "thirty", "one", "five"],
+)
+def test_vehicle_audio_matches_the_serial_build(passages, seeds):
+    bank = default_vehicle_bank()
+    for seed in seeds:
+        signal, _ = gen_vehicle_audio(bank, passages, rng_seed=seed)
+        reference = _serial_vehicle_audio(bank, passages, rng_seed=seed)
+        assert signal.samples.tobytes() == reference.tobytes()  # signed zeros included
+
+
+def test_vehicle_audio_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    bank = default_vehicle_bank()
+    passages = (0, 1, 2, 0, 2)
+    built = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers as often as the interpreter can
+    try:
+        for cpus in (1, 3, 16):  # one worker, a few, and more than there are clips
+            monkeypatch.setattr(synth, "_available_cpus", lambda: cpus)
+            built[cpus] = gen_vehicle_audio(bank, passages, rng_seed=4)[0].samples.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert built[1] == built[3] == built[16]
+
+
+def test_vehicle_audio_leaves_no_thread_running():
+    before = threading.active_count()
+    gen_vehicle_audio(default_vehicle_bank(), rng_seed=0)
+    assert threading.active_count() == before
 
 
 def _clean_spec(name, hz):
