@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Any
 
 from .pipeline import METHODS, ConfigError, PipelineConfig, exit_code_for, run_pipeline
@@ -60,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = PipelineConfig.from_file(args.config, overrides)
         else:
             cfg = PipelineConfig.from_dict(overrides)
-        result = run_pipeline(cfg)
+        report = run_pipeline(cfg)
     except ConfigError as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return exit_code_for(exc)
@@ -68,14 +69,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
 
-    report = result.report
     k_info = report["k"]
     print(f"windows: {report['n_windows']} x {report['n_coefficients']} coefficients")
     estimated = k_info["estimated"]
     print(f"k: used {k_info['used']} (requested {k_info['requested']}, gap estimate {estimated})")
     for method, ev in sorted(report["methods"].items()):
         print(f"{method}: purity {ev['purity']:.4f}")
-    print(f"artifacts: {result.out_dir}")
+    print(f"artifacts: {Path(cfg.out_dir)}")
     return 0
 
 

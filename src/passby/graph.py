@@ -243,10 +243,6 @@ class Laplacian:
     matrix: sparse.csr_array
     graph: SimilarityGraph
 
-    @property
-    def n_vertices(self) -> int:
-        return self.matrix.shape[0]
-
 
 def laplacian(graph: SimilarityGraph) -> Laplacian:
     """Normalized Laplacian, built entry by entry on the graph's edges.

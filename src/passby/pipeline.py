@@ -62,7 +62,6 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -116,6 +115,8 @@ class PipelineConfig:
         # a JSON config may hold any type; coerce the numbers before comparing them
         if not isinstance(self.out_dir, str) or not isinstance(self.manifest, (str, type(None))):
             raise ConfigError("manifest and out_dir must be strings")
+        if self.out_dir == "" or self.manifest == "":
+            raise ConfigError("manifest and out_dir must not be empty")
         for name in ("window_len", "m", "neighbors", "k_max", "iterations", "restarts", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.smoothing_len is not None:
@@ -197,12 +198,6 @@ def _finite(name: str, value: Any) -> float:
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
-@dataclass
-class RunResult:
-    report: dict[str, Any]
-    out_dir: Path
-
-
 def _derived_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, tag)).generate_state(1)[0])
 
@@ -238,11 +233,11 @@ class _Stages:
     def write_text(self, name: str, text: str) -> Path:
         path = self.track(self.out / name)
         self.make_dir(path.parent)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return path
 
     def write_csv(self, name: str, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
-        with open(self.track(self.out / name), "w", newline="") as fh:
+        with open(self.track(self.out / name), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
@@ -261,8 +256,10 @@ class _Stages:
                 path.rmdir()  # fails on a directory that holds files this run did not write
 
 
-def run_pipeline(cfg: PipelineConfig) -> RunResult:
-    """Execute every stage and write all artifacts into cfg.out_dir.
+def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
+    """Execute every stage, write all artifacts into cfg.out_dir, and return the report.
+
+    The report is `report.json` without its `timings`.
 
     Any stage failure removes the files and directories this run made and
     re-raises as StageError naming the stage.  An interrupt (KeyboardInterrupt,
@@ -276,7 +273,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         raise
 
 
-def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
+def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
     out = stages.out
     pairs = cfg.k_max + 1 if cfg.k == "auto" else cfg.k  # eigenpairs choosing k reads
 
@@ -297,7 +294,8 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
     with stages.stage("setup"):
         stages.make_dir(out)
         if cfg.manifest is not None and not Path(cfg.manifest).is_file():
-            raise ConfigError(f"manifest {cfg.manifest} does not exist")
+            problem = "is not a file" if Path(cfg.manifest).exists() else "does not exist"
+            raise ConfigError(f"manifest {cfg.manifest} {problem}")
 
     with stages.stage("input"):
         if cfg.manifest is not None:
@@ -329,16 +327,15 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
         features = stft_features(recording, cfg.windowing())
         # nothing after this stage reads the samples: keep the duration and
         # free the crops before the graph is built
-        waveform = plots.waveform_svg(features.envelope)
         duration_s = recording.duration_s
         del recording
 
     with stages.stage("graph"):
         graph = knn_graph(features.values, neighbors=cfg.neighbors)
-        lap = laplacian(graph)
 
     with stages.stage("spectrum"):
-        embedding = eigendecompose(lap, min(features.n_windows, max(cfg.k_max + 1, 20, pairs)))
+        p = min(features.n_windows, max(cfg.k_max + 1, 20, pairs))
+        embedding = eigendecompose(laplacian(graph), p)
         k_estimated = (
             estimate_k(embedding.eigenvalues, cfg.k_max) if embedding.p >= cfg.k_max + 1 else None
         )
@@ -427,7 +424,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
                     "alignment": record["alignment"],
                 },
             )
-        stages.write_text("plots/waveform.svg", waveform)
+        stages.write_text("plots/waveform.svg", plots.waveform_svg(features.envelope))
         plots.emit_plots(
             stages.write_text,
             embedding.eigenvalues,
@@ -458,4 +455,4 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> RunResult:
             "artifacts": sorted(str(p.relative_to(out)) for p in stages.created[first_artifact:]),
         }
         stages.write_json("report.json", {**report, "timings": stages.timings})
-    return RunResult(report=report, out_dir=out)
+    return report

@@ -94,7 +94,7 @@ def eigendecompose(lap: Laplacian, p: int) -> SpectralEmbedding:
     1e-8 fail.
     """
     L = lap.matrix
-    n = lap.n_vertices
+    n = lap.graph.n_vertices
     if not 1 <= p <= n:
         raise ValueError(f"p must lie in [1, {n}], got {p}")
     component, degrees = lap.graph.component, lap.graph.degrees

@@ -94,7 +94,6 @@ class VehicleSpec:
     broadband_level: float = 0.06
     edge_level: float = 0.35
     amp_jitter: float = 0.05  # per-clip relative wobble of each harmonic
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         numbers = (
@@ -213,7 +212,8 @@ def _build_clip(
     build.  The noise is drawn after every (wobble, phase) pair, block by
     block, which gives the values of one whole-clip draw.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(rng_seed, spec.rng_seed, idx)))
+    # the middle 0 keeps the stream every clip has always drawn
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(rng_seed, 0, idx)))
     harmonics = []
     for h, amp in enumerate(spec.harmonic_amps, start=1):
         wobble = 1.0 + spec.amp_jitter * rng.standard_normal()

@@ -396,8 +396,8 @@ def test_seed_count_per_component_decides_where_the_limit_holds_mass(data):
 def test_incres_pure_where_reachable_support_rule_was_not(tmp_path, seed):
     # stopping at full support over the seeded components alone loses
     # purity on these seeds; the stationary limit must not
-    run = run_pipeline(PipelineConfig(out_dir=str(tmp_path), method="incres", seed=seed))
-    assert run.report["methods"]["incres"]["purity"] == 1.0
+    report = run_pipeline(PipelineConfig(out_dir=str(tmp_path), method="incres", seed=seed))
+    assert report["methods"]["incres"]["purity"] == 1.0
 
 
 def test_incres_k_larger_than_graph():

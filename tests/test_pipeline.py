@@ -69,29 +69,30 @@ EXPECTED_ARTIFACTS = [
 
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
+    """The default run's report and its output directory."""
     out = tmp_path_factory.mktemp("run")
-    result = run_pipeline(PipelineConfig(out_dir=str(out)))
-    return result
+    return run_pipeline(PipelineConfig(out_dir=str(out))), out
 
 
 def test_default_run_selects_three_clusters(default_run):
-    k = default_run.report["k"]
+    report, _ = default_run
+    k = report["k"]
     assert k["requested"] == "auto"
     assert k["estimated"] == 3
     assert k["used"] == 3
     for method in ("spectral", "incres"):
-        assert default_run.report["methods"][method]["purity"] >= 0.9
+        assert report["methods"][method]["purity"] >= 0.9
 
 
 def test_default_run_writes_all_artifacts(default_run):
-    out = default_run.out_dir
+    report, out = default_run
     for rel in EXPECTED_ARTIFACTS + ["report.json", "synthetic.wav", "manifest.csv"]:
         assert (out / rel).is_file(), rel
-    assert default_run.report["artifacts"] == EXPECTED_ARTIFACTS
+    assert report["artifacts"] == EXPECTED_ARTIFACTS
 
 
 def test_default_run_report_contents(default_run):
-    report = default_run.report
+    report, _ = default_run
     assert report["n_windows"] == 144
     assert report["n_coefficients"] == 1500
     assert report["sample_rate"] == 48000
@@ -107,7 +108,8 @@ def test_default_run_report_contents(default_run):
 
 
 def test_default_run_report_file_adds_timings(default_run):
-    with open(default_run.out_dir / "report.json") as fh:
+    _, out = default_run
+    with open(out / "report.json") as fh:
         on_disk = json.load(fh)
     stages = {"setup", "input", "ingest", "features", "graph", "spectrum", "cluster", "evaluate", "artifacts"}
     assert stages <= set(on_disk["timings"])
@@ -115,27 +117,30 @@ def test_default_run_report_file_adds_timings(default_run):
 
 
 def test_default_run_labels_csv(default_run):
-    lines = (default_run.out_dir / "labels.csv").read_text().strip().splitlines()
+    report, out = default_run
+    lines = (out / "labels.csv").read_text().strip().splitlines()
     assert lines[0] == "window_index,start_s,cluster,true_label"
     assert len(lines) == 145
     clusters = [int(line.split(",")[2]) for line in lines[1:]]
-    assert clusters == default_run.report["methods"]["incres"]["labels"]
+    assert clusters == report["methods"]["incres"]["labels"]
     truths = [line.split(",")[3] for line in lines[1:]]
     # sixteen windows per two-second clip, nine clips cycling three vehicles
     assert truths == (["truck"] * 16 + ["sedan"] * 16 + ["van"] * 16) * 3
 
 
 def test_default_run_spectrum_csv(default_run):
-    lines = (default_run.out_dir / "spectrum.csv").read_text().strip().splitlines()
+    report, out = default_run
+    lines = (out / "spectrum.csv").read_text().strip().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 21
     values = [float(line.split(",")[1]) for line in lines[1:]]
-    assert values == pytest.approx(default_run.report["spectrum"])
+    assert values == pytest.approx(report["spectrum"])
     assert values[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_default_run_embedding_csv(default_run):
-    lines = (default_run.out_dir / "embedding.csv").read_text().strip().splitlines()
+    _, out = default_run
+    lines = (out / "embedding.csv").read_text().strip().splitlines()
     assert lines[0].split(",")[:2] == ["window_index", "v1"]
     assert len(lines[0].split(",")) == 21
     assert len(lines) == 145
@@ -143,7 +148,7 @@ def test_default_run_embedding_csv(default_run):
 
 def test_default_run_graph_csv_roundtrip(default_run):
     # rebuild the graph from the run's own input and compare it with the files
-    out = default_run.out_dir
+    _, out = default_run
     composite, _ = assemble_composite(read_manifest(out / "manifest.csv"), base_dir=out)
     cfg = PipelineConfig()
     g = knn_graph(stft_features(composite, cfg.windowing()).values, cfg.neighbors)
@@ -162,18 +167,20 @@ def test_default_run_graph_csv_roundtrip(default_run):
 
 
 def test_default_run_confusion_files(default_run):
+    report, out = default_run
     for method in ("spectral", "incres"):
-        with open(default_run.out_dir / f"confusion_{method}.json") as fh:
+        with open(out / f"confusion_{method}.json") as fh:
             payload = json.load(fh)
         counts = np.array(payload["counts"])
         assert counts.shape == (3, 3)
         assert counts.sum() == 144
-        assert payload["purity"] == default_run.report["methods"][method]["purity"]
+        assert payload["purity"] == report["methods"][method]["purity"]
         assert sorted(payload["alignment"]) == [0, 1, 2]
 
 
 def test_default_run_plot_geometry(default_run):
-    plots = default_run.out_dir / "plots"
+    _, out = default_run
+    plots = out / "plots"
     spectrum = (plots / "spectrum.svg").read_text()
     assert spectrum.count("<circle") == 20
     embedding = (plots / "embedding.svg").read_text()
@@ -185,9 +192,10 @@ def test_default_run_plot_geometry(default_run):
 
 
 def test_default_run_is_reproducible(default_run, tmp_path):
-    second = run_pipeline(PipelineConfig(out_dir=str(tmp_path / "again")))
-    a = dict(default_run.report)
-    b = dict(second.report)
+    report, out = default_run
+    again = tmp_path / "again"
+    a = dict(report)
+    b = dict(run_pipeline(PipelineConfig(out_dir=str(again))))
     # the output directory is echoed among the parameters and legitimately differs
     pa = dict(a.pop("parameters"))
     pb = dict(b.pop("parameters"))
@@ -195,9 +203,7 @@ def test_default_run_is_reproducible(default_run, tmp_path):
     pb.pop("out_dir")
     assert pa == pb
     assert a == b
-    assert (default_run.out_dir / "labels.csv").read_bytes() == (
-        second.out_dir / "labels.csv"
-    ).read_bytes()
+    assert (out / "labels.csv").read_bytes() == (again / "labels.csv").read_bytes()
 
 
 # ------------------------------------------------------------ configuration
@@ -247,6 +253,19 @@ def test_cli_config_of_a_wrong_type_is_config_error(tmp_path, capsys, bad):
     assert code == EXIT_CONFIG
     assert "bad configuration" in capsys.readouterr().err
     assert not out.exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize("flag, field", [("--out", "out_dir"), ("--manifest", "manifest")])
+def test_cli_empty_out_or_manifest_is_config_error(tmp_path, capsys, monkeypatch, flag, field):
+    # an empty out directory would be the working directory, and a failed
+    # run would then remove the files it wrote there
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="must not be empty"):
+        PipelineConfig(**{field: ""})
+    code = main([flag, ""])
+    assert code == EXIT_CONFIG
+    assert "must not be empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_coerces_numbers_to_plain_types():
@@ -383,6 +402,19 @@ def test_missing_manifest_is_config_error(tmp_path):
     assert list(out.glob("**/*")) == []  # nothing was written
 
 
+def test_manifest_that_is_a_directory_is_config_error(tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / "out"
+    cfg = PipelineConfig(manifest=str(tmp_path / "adir"), out_dir=str(out))
+    with pytest.raises(StageError, match="is not a file") as excinfo:
+        run_pipeline(cfg)
+    assert excinfo.value.stage == "setup"
+    assert exit_code_for(excinfo.value) == EXIT_CONFIG
+    assert main(["--manifest", str(tmp_path / "adir"), "--out", str(out)]) == EXIT_CONFIG
+    assert "adir is not a file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_with_missing_wav_fails_in_ingest(tmp_path):
     manifest = tmp_path / "m.csv"
     write_manifest([ManifestEntry("ghost.wav", "x", 0.0, 1.0)], manifest)
@@ -505,9 +537,29 @@ def test_composite_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "assemble_composite", tracked_assemble)
     monkeypatch.setattr(pipeline, "knn_graph", checked_build)
-    result = run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3))
-    assert result.report["duration_s"] == 18.0
+    report = run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3))
+    assert report["duration_s"] == 18.0
     assert (tmp_path / "out" / "plots" / "waveform.svg").is_file()
+
+
+def test_waveform_is_rendered_after_the_graph_is_built(tmp_path, monkeypatch):
+    # the artifacts stage renders it; the features stage only computes the envelope
+    from passby import pipeline
+
+    calls = []
+    build, render = pipeline.knn_graph, plots.waveform_svg
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(pipeline, "knn_graph", logged("knn_graph", build))
+    monkeypatch.setattr(plots, "waveform_svg", logged("waveform_svg", render))
+    run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3))
+    assert calls == ["knn_graph", "waveform_svg"]
 
 
 @pytest.mark.parametrize("method", ["both", "spectral", "incres", "incres-embedding"])
@@ -679,9 +731,10 @@ def test_cli_manifest_row_with_extra_fields_returns_io_code(tmp_path, capsys):
 
 
 def test_cli_manifest_with_a_byte_order_mark(tmp_path, capsys, default_run):
+    _, out = default_run
     # a spreadsheet saving "CSV UTF-8" starts the file with U+FEFF
-    shutil.copy(default_run.out_dir / "synthetic.wav", tmp_path)
-    text = (default_run.out_dir / "manifest.csv").read_text()
+    shutil.copy(out / "synthetic.wav", tmp_path)
+    text = (out / "manifest.csv").read_text()
     (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
     (tmp_path / "bom.csv").write_text("\ufeff" + text, encoding="utf-8")
     assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbfpath,")
@@ -691,6 +744,37 @@ def test_cli_manifest_with_a_byte_order_mark(tmp_path, capsys, default_run):
         assert code == 0, capsys.readouterr().err
     labels = [(tmp_path / name / "labels.csv").read_bytes() for name in ("plain", "bom")]
     assert labels[0] == labels[1]
+
+
+def test_cli_writes_utf8_text_under_an_ascii_locale(tmp_path):
+    # labels beyond ASCII: the manifest is read as UTF-8, so every text file is written so too
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+    }
+    script = (
+        "import sys\n"
+        "from passby.cli import main\n"
+        "from passby.signal import ManifestEntry, write_manifest, write_wav\n"
+        "from passby.synth import default_vehicle_bank, gen_vehicle_audio\n"
+        "signal, _ = gen_vehicle_audio(default_vehicle_bank(), passages=(0, 1, 0, 1), rng_seed=0)\n"
+        "write_wav(signal, 'clips.wav')\n"
+        "labels = ('cami\\u00f3n', '\\u8eca') * 2\n"
+        "entries = [ManifestEntry('clips.wav', label, 2.0 * i, 2.0) for i, label in enumerate(labels)]\n"
+        "write_manifest(entries, 'm.csv')\n"
+        "sys.exit(main(['--manifest', 'm.csv', '--out', 'out', '--method', 'spectral', '--k', '2']))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert "cami\u00f3n" in (tmp_path / "m.csv").read_bytes().decode("utf-8")
+    rows = list(csv.reader((tmp_path / "out" / "labels.csv").read_bytes().decode("utf-8").splitlines()))
+    assert {row[3] for row in rows[1:]} == {"cami\u00f3n", "\u8eca"}
 
 
 def test_cli_config_file_flow(tmp_path, capsys):

@@ -196,7 +196,7 @@ def _serial_vehicle_audio(specs, passages=None, rng_seed=0):
     samples = np.zeros(n * len(passages))
     for idx, v in enumerate(passages):
         spec = specs[v]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(rng_seed, spec.rng_seed, idx)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(rng_seed, 0, idx)))
         x = samples[idx * n : (idx + 1) * n]
         for h, amp in enumerate(spec.harmonic_amps, start=1):
             wobble = 1.0 + spec.amp_jitter * rng.standard_normal()
