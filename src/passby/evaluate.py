@@ -20,7 +20,6 @@ class ConfusionMatrix:
     """counts[t, c] = points of true class t landing in cluster c."""
 
     counts: npt.NDArray[np.int64]
-    true_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
@@ -28,19 +27,13 @@ class ConfusionMatrix:
             raise ValueError("counts must be 2-D")
         if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")
-        if len(self.true_names) != self.counts.shape[0]:
-            raise ValueError("one name per true class required")
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
 
 
-def confusion(
-    true_labels: npt.ArrayLike,
-    partition: Partition,
-    true_names: tuple[str, ...] | None = None,
-) -> ConfusionMatrix:
+def confusion(true_labels: npt.ArrayLike, partition: Partition) -> ConfusionMatrix:
     """Cross-tabulate dense true class ids against cluster labels."""
     t = np.asarray(true_labels, dtype=np.int64)
     if t.shape != (partition.n_points,):
@@ -52,8 +45,7 @@ def confusion(
     n_true = int(t.max()) + 1
     counts = np.zeros((n_true, partition.k), dtype=np.int64)
     np.add.at(counts, (t, partition.labels), 1)
-    names = tuple(true_names) if true_names is not None else tuple(str(i) for i in range(n_true))
-    return ConfusionMatrix(counts=counts, true_names=names)
+    return ConfusionMatrix(counts=counts)
 
 
 def purity(cm: ConfusionMatrix) -> float:

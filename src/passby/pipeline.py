@@ -372,7 +372,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
         truth_names = labels_from_spans(spans, mids)
         truth_ids, class_names = densify(truth_names)
         for method, partition in partitions.items():
-            cm = confusion(truth_ids, partition, class_names)
+            cm = confusion(truth_ids, partition)
             records[method].update(
                 purity=purity(cm),
                 confusion=cm.counts.tolist(),

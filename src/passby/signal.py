@@ -192,8 +192,9 @@ class LabelSpan:
 def _read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     """Read a WAV file's rate and raw samples, rejecting what cannot become audio.
 
-    Unreadable files, unsupported encodings, and zero-length audio raise
-    distinct exception types; non-finite float samples raise AudioIOError.
+    Unreadable files, unsupported encodings or sample rates, and zero-length
+    audio raise distinct exception types; non-finite float samples raise
+    AudioIOError.
     """
     try:
         rate, data = wavfile.read(str(path))
@@ -201,6 +202,8 @@ def _read_wav(path: str | Path) -> tuple[int, np.ndarray]:
         raise UnsupportedEncodingError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise AudioIOError(f"cannot read {path}: {exc}") from exc
+    if rate <= 0:
+        raise UnsupportedEncodingError(f"{path}: sample rate {rate} Hz is not positive")
     if data.size == 0:
         raise EmptyAudioError(f"{path}: file contains no samples")
     if data.ndim == 2 and data.shape[1] > 2:

@@ -1,4 +1,4 @@
-"""Synthetic inputs: noisy block similarity matrices and vehicle-like audio."""
+"""Synthetic input: vehicle-like pass-by audio."""
 
 from __future__ import annotations
 
@@ -10,74 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .graph import SimilarityGraph
 from .signal import AudioSignal, LabelSpan
 
 SAMPLE_RATE = 48000
 CLIP_S = 2.0  # seconds per pass-by clip
 PASSES = 3  # times each vehicle drives by in the default passages
 SYNTH_BLOCK_SAMPLES = 16384  # samples of a clip built at a time, in one scratch buffer
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """A planted-partition similarity matrix with a two-level hierarchy.
-
-    `hierarchy` groups fine-block indices into coarse blocks.  Entries are
-    `in_block` within a fine block, the midpoint of the two levels between
-    sibling fine blocks of one coarse block, and `cross_block` elsewhere.
-    `noise_fraction` of the off-diagonal pairs are snapped (symmetrically) to
-    one of the two extreme levels at random.
-    """
-
-    block_sizes: tuple[int, ...] = (40, 30, 30)
-    hierarchy: tuple[tuple[int, ...], ...] = ((0,), (1, 2))
-    in_block: float = 0.9
-    cross_block: float = 0.05
-    noise_fraction: float = 0.05
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.block_sizes or any(s < 1 for s in self.block_sizes):
-            raise ValueError("block_sizes must be positive")
-        listed = sorted(b for group in self.hierarchy for b in group)
-        if listed != list(range(len(self.block_sizes))):
-            raise ValueError("hierarchy must partition the block indices")
-        if not 0.0 < self.in_block <= 1.0:
-            raise ValueError("in_block must lie in (0, 1]")
-        if not 0.0 <= self.cross_block < self.in_block:
-            raise ValueError("cross_block must lie in [0, in_block)")
-        if not 0.0 <= self.noise_fraction < 0.5:
-            raise ValueError("noise_fraction must lie in [0, 0.5)")
-
-    @property
-    def n_points(self) -> int:
-        return sum(self.block_sizes)
-
-
-def gen_block_similarity(
-    spec: BlockSpec = BlockSpec(),
-) -> tuple[SimilarityGraph, npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-    """Noisy hierarchical block matrix as a graph, plus fine and coarse truths."""
-    sizes = spec.block_sizes
-    n = spec.n_points
-    fine = np.repeat(np.arange(len(sizes)), sizes)
-    group_of = {b: g for g, group in enumerate(spec.hierarchy) for b in group}
-    coarse = np.array([group_of[int(b)] for b in fine], dtype=np.int64)
-    sibling_level = 0.5 * (spec.in_block + spec.cross_block)
-    S = np.full((n, n), spec.cross_block)
-    S[coarse[:, None] == coarse[None, :]] = sibling_level
-    S[fine[:, None] == fine[None, :]] = spec.in_block
-    rng = np.random.default_rng(np.random.SeedSequence(spec.rng_seed))
-    iu, ju = np.triu_indices(n, k=1)
-    hit = rng.random(iu.size) < spec.noise_fraction
-    snapped = np.where(rng.random(iu.size) < 0.5, spec.in_block, spec.cross_block)
-    upper = np.where(hit, snapped, S[iu, ju])
-    S[iu, ju] = upper
-    S[ju, iu] = upper
-    np.fill_diagonal(S, 0.0)
-    graph = SimilarityGraph(weights=S, scales=np.ones(n), neighbors=n - 1)
-    return graph, fine, coarse
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,8 @@ from passby.signal import LabelSpan
 from passby.spectral import Partition
 
 
-def _cm(rows, names=None):
-    counts = np.asarray(rows, dtype=np.int64)
-    if names is None:
-        names = tuple(f"c{i}" for i in range(counts.shape[0]))
-    return ConfusionMatrix(counts=counts, true_names=names)
+def _cm(rows):
+    return ConfusionMatrix(counts=np.asarray(rows, dtype=np.int64))
 
 
 def aligned_matches(cm):
@@ -61,10 +58,9 @@ def _brute_rand(a, b):
 def test_confusion_small_table():
     true = np.array([0, 0, 1, 1, 1])
     part = Partition(labels=np.array([1, 1, 0, 0, 1]), k=2)
-    cm = confusion(true, part, true_names=("a", "b"))
+    cm = confusion(true, part)
     assert cm.counts.tolist() == [[0, 2], [2, 1]]
     assert cm.total == 5
-    assert cm.true_names == ("a", "b")
 
 
 def test_confusion_shape_mismatch():
@@ -183,7 +179,7 @@ def test_align_small_wide_tables_leave_scipy_optimize_unloaded():
     probe = (
         "import sys, numpy as np; from passby.evaluate import ConfusionMatrix, align_labels; "
         f"tables = {[t.tolist() for t in tables]}; "
-        "cms = [ConfusionMatrix(np.array(t), ('a', 'b', 'c')) for t in tables]; "
+        "cms = [ConfusionMatrix(np.array(t)) for t in tables]; "
         "print([list(align_labels(cm)) for cm in cms]); "
         "print('scipy.optimize' in sys.modules)"
     )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse, stats
 from scipy.sparse.csgraph import connected_components
 
-from _helpers import as_sets
+from _helpers import BlockSpec, as_sets, gen_block_similarity
 from passby import incres
 from passby.evaluate import rand_index
 from passby.graph import SimilarityGraph, component_labels, knn_graph
@@ -28,7 +28,7 @@ from passby.incres import (
 from passby.pipeline import PipelineConfig, run_pipeline
 from passby.signal import WindowingConfig, stft_features
 from passby.spectral import Partition
-from passby.synth import BlockSpec, default_vehicle_bank, gen_block_similarity, gen_vehicle_audio
+from passby.synth import default_vehicle_bank, gen_vehicle_audio
 
 
 def _path_graph(n):

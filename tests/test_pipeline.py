@@ -705,6 +705,19 @@ def test_cli_non_finite_audio_returns_io_code(tmp_path, capsys):
     assert "stage 'ingest' failed" in captured.err and "non-finite" in captured.err
 
 
+def test_cli_zero_sample_rate_returns_io_code(tmp_path, capsys):
+    samples = np.round(np.sin(np.linspace(0.0, 400.0, 96000)) * 2**14).astype(np.int16)
+    wavfile.write(tmp_path / "r0.wav", 0, samples)
+    manifest = tmp_path / "m.csv"
+    write_manifest([ManifestEntry("r0.wav", "x", 0.0, 2.0), ManifestEntry("r0.wav", "y", 0.0, 2.0)], manifest)
+    out = tmp_path / "o"
+    code = main(["--manifest", str(manifest), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert "stage 'ingest' failed" in err and "r0.wav: sample rate 0 Hz is not positive" in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
 @pytest.mark.parametrize("start, duration", [("nan", "2.0"), ("0.0", "inf"), ("-inf", "2.0")])
 def test_cli_non_finite_manifest_number_returns_io_code(tmp_path, capsys, start, duration):
     write_wav(AudioSignal(np.sin(np.linspace(0.0, 400.0, 2 * 48000)), 48000), tmp_path / "a.wav")
@@ -821,6 +834,7 @@ def test_module_import_leaves_the_pipeline_unloaded():
         ("passby.graph", ("passby.pipeline", "passby.plots", "scipy.io")),
         ("passby.signal", ("passby.pipeline", "passby.plots")),
         ("passby.spectral", ("passby.pipeline", "passby.plots")),
+        ("passby.synth", ("passby.pipeline", "passby.plots", "passby.graph")),
     ]:
         probe = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)

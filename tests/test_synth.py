@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from _helpers import distance_matrix
+from _helpers import BlockSpec, distance_matrix, gen_block_similarity
 
 from passby import synth
 from passby.evaluate import confusion, purity
@@ -18,10 +18,8 @@ from passby.synth import (
     CLIP_S,
     PASSES,
     SAMPLE_RATE,
-    BlockSpec,
     VehicleSpec,
     default_vehicle_bank,
-    gen_block_similarity,
     gen_vehicle_audio,
 )
 
