@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Any
+
+# before numpy loads OpenBLAS: a run uses one BLAS thread, and the others would only spin
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .pipeline import METHODS, ConfigError, PipelineConfig, exit_code_for, run_pipeline
 from .signal import TAPERS

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
 from scipy import sparse
 
+from . import threads
+
 SCALE_FLOOR = 1e-12
 BLOCK_ROWS = 512  # rows and columns per tile of the distance pass
+MIN_SLICE_ROWS = 64  # rows per worker's gemm call, at least: thinner calls cost more than they share
 
 
 class ZeroNormError(ValueError):
@@ -36,6 +41,12 @@ def pairwise_cosine_distances(
     first tile holds its own block's distances; a diagonal tile holds each
     row's distance to itself as 0.  The rows are normalized once, at the
     call, so a zero-norm row fails there.
+
+    Tiles are made one at a time, with BLAS held at one thread.  An
+    off-diagonal tile is split by rows among a pool of one worker per CPU;
+    the slices hold the bits of the whole product, so the tiles depend on
+    neither the CPU count nor the caller's BLAS threads.  The pool and the
+    pin end with the iterator: when it is exhausted or closed.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -48,16 +59,44 @@ def pairwise_cosine_distances(
 
     def tiles() -> Iterator[tuple[int, int, npt.NDArray[np.float64]]]:
         starts = range(0, unit.shape[0], BLOCK_ROWS)
-        for row0, col0 in [(r, r) for r in starts] + [(r, c) for r in starts for c in starts if c > r]:
-            # a diagonal tile is `U_I @ U_I.T`, for which numpy calls syrk
-            d = unit[row0 : row0 + BLOCK_ROWS] @ unit[col0 : col0 + BLOCK_ROWS].T
-            np.subtract(1.0, d, out=d)
-            np.clip(d, 0.0, 2.0, out=d)
-            if row0 == col0:
-                np.fill_diagonal(d, 0.0)
-            yield row0, col0, d
+        workers = threads.available_cpus()
+        with threads.one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+            for row0, col0 in [(r, r) for r in starts] + [(r, c) for r in starts for c in starts if c > r]:
+                rows = unit[row0 : row0 + BLOCK_ROWS]
+                cols = unit[col0 : col0 + BLOCK_ROWS]
+                if row0 == col0:
+                    # one call, for which numpy calls syrk: row slices would
+                    # turn it into gemm, whose last bits differ
+                    d = rows @ rows.T
+                    _to_distances(d)
+                    np.fill_diagonal(d, 0.0)
+                else:
+                    # single-threaded gemm gives a row slice the bits of the whole product
+                    d = np.empty((rows.shape[0], cols.shape[0]))
+
+                    def fill(a: int, b: int) -> None:
+                        _to_distances(np.matmul(rows[a:b], cols.T, out=d[a:b]))
+
+                    cuts = _row_cuts(rows.shape[0], workers)
+                    if len(cuts) == 2:  # one slice: no worker needed
+                        fill(0, rows.shape[0])
+                    else:
+                        list(pool.map(fill, cuts[:-1], cuts[1:]))
+                yield row0, col0, d
 
     return tiles()
+
+
+def _to_distances(products: npt.NDArray[np.float64]) -> None:
+    """`1 - products`, clipped to [0, 2], in place."""
+    np.subtract(1.0, products, out=products)
+    np.clip(products, 0.0, 2.0, out=products)
+
+
+def _row_cuts(rows: int, workers: int) -> list[int]:
+    """Bounds of at most `workers` near-equal row slices, each of at least `MIN_SLICE_ROWS` rows."""
+    slices = max(1, min(workers, rows // MIN_SLICE_ROWS))
+    return [rows * i // slices for i in range(slices + 1)]
 
 
 @dataclass(frozen=True)
@@ -121,7 +160,8 @@ def knn_graph(features: npt.ArrayLike, neighbors: int = 15) -> SimilarityGraph:
     matrix are formed, one at a time, so each distance is computed once and
     no n x n array, nor any block of whole rows, is ever held.
     """
-    return knn_graph_from_distances(pairwise_cosine_distances(features), len(features), neighbors)
+    with closing(pairwise_cosine_distances(features)) as tiles:  # its pool ends here
+        return knn_graph_from_distances(tiles, len(features), neighbors)
 
 
 _NO_COLUMN = np.iinfo(np.intp).max  # an empty slot of a nearest list sorts last

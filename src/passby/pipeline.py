@@ -46,6 +46,7 @@ from .spectral import (
     spectral_cluster,
 )
 from .synth import CLIP_S, PASSES, SAMPLE_RATE, default_vehicle_bank, gen_vehicle_audio
+from .threads import one_blas_thread
 
 METHODS = ("spectral", "incres", "incres-embedding", "both")
 
@@ -264,10 +265,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     Any stage failure removes the files and directories this run made and
     re-raises as StageError naming the stage.  An interrupt (KeyboardInterrupt,
     SystemExit) removes them too and propagates unchanged.
+
+    BLAS runs on one thread for the whole run, so the outputs do not depend
+    on the core count; the caller's thread count comes back at the end.
     """
     stages = _Stages(Path(cfg.out_dir))
     try:
-        return _run(cfg, stages)
+        with one_blas_thread():
+            return _run(cfg, stages)
     except BaseException:
         stages.discard_artifacts()
         raise

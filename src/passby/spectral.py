@@ -8,6 +8,7 @@ import numpy as np
 import numpy.typing as npt
 from scipy import sparse
 
+from . import threads
 from .graph import Laplacian
 
 RESIDUAL_TOL = 1e-8
@@ -69,7 +70,9 @@ def _block_pairs(
 
         A = sparse.eye_array(m, format="csr") - L
         try:
-            mu, vecs = eigsh(A, k=p, which="LA", v0=1.0 + np.arange(m) / m)
+            # the import may have loaded scipy's own OpenBLAS, which the pin now holds too
+            with threads.one_blas_thread():
+                mu, vecs = eigsh(A, k=p, which="LA", v0=1.0 + np.arange(m) / m)
         except ArpackError as exc:
             raise EigensolverError(f"Lanczos solver failed: {exc}") from exc
         vals, vecs = 1.0 - mu[::-1], vecs[:, ::-1]

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
+from . import threads
 from .signal import AudioSignal, LabelSpan
 
 SAMPLE_RATE = 48000
@@ -117,7 +117,7 @@ def gen_vehicle_audio(
     samples = np.empty(n * len(passages))
     # each clip owns its seed stream and its slice of `samples`, so the clips
     # build at once and their bytes do not depend on the worker count
-    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(passages))) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads.available_cpus(), len(passages))) as pool:
         builds = [
             pool.submit(_build_clip, samples[idx * n : (idx + 1) * n], specs[v], idx, t, rng_seed)
             for idx, v in enumerate(passages)
@@ -126,13 +126,6 @@ def gen_vehicle_audio(
         build.result()
     spans = [LabelSpan(specs[v].name, idx * CLIP_S, (idx + 1) * CLIP_S) for idx, v in enumerate(passages)]
     return AudioSignal(samples=samples, sample_rate=SAMPLE_RATE), spans
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _build_clip(

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
+import pytest
 
+from passby import threads
 from passby.graph import SimilarityGraph
 from passby.plots import HEIGHT, MARGIN, WIDTH, _axes, _scale, _svg
 
@@ -17,6 +21,32 @@ def as_sets(labels: npt.ArrayLike) -> frozenset[frozenset[int]]:
     for i, c in enumerate(np.asarray(labels).tolist()):
         groups.setdefault(int(c), []).append(i)
     return frozenset(frozenset(g) for g in groups.values())
+
+
+def blas_threads() -> list[int]:
+    """The thread count of each OpenBLAS this process has loaded."""
+    return [get() for get, _ in threads._openblas().values()]
+
+
+@contextmanager
+def caller_blas_threads(count: int) -> Iterator[None]:
+    """Every loaded OpenBLAS at `count` threads inside the block, as a caller may set it.
+
+    Skips the test where no OpenBLAS is loaded or the count does not take.
+    """
+    libs = list(threads._openblas().values())
+    before = blas_threads()
+    if not libs:
+        pytest.skip("no OpenBLAS is loaded")
+    try:
+        for _, set_count in libs:
+            set_count(count)
+        if blas_threads() != [count] * len(libs):
+            pytest.skip(f"OpenBLAS does not run {count} threads here")
+        yield
+    finally:
+        for (_, set_count), old in zip(libs, before):
+            set_count(old)
 
 
 def distance_matrix(tiles, n: int) -> npt.NDArray[np.float64]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from _helpers import distance_matrix
+from _helpers import caller_blas_threads, distance_matrix
 
 import passby.graph as graph_module
+from passby import threads
 from passby.graph import (
     SCALE_FLOOR,
     IsolatedVertexError,
@@ -255,6 +257,58 @@ def test_knn_graph_holds_no_block_of_whole_rows():
     finally:
         tracemalloc.stop()
     assert peak < graph_module.BLOCK_ROWS * 1500 * 8
+
+
+def _three_tile_features():
+    # 1100 rows: tiles of 512, 512 and 76 rows.  At 400 columns the gemm of
+    # an off-diagonal tile moved its last bits with OpenBLAS's thread count.
+    return _random_features(np.random.default_rng(3), 1100, 400)
+
+
+def _weight_bytes(g):
+    W = g.weights
+    return W.indptr.tobytes(), W.indices.tobytes(), W.data.tobytes(), g.scales.tobytes()
+
+
+def test_knn_graph_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    X = _three_tile_features()
+    built = {}
+    for cpus in (1, 2, 5, 64):  # one worker, a few, and more than any tile has slices
+        monkeypatch.setattr(threads, "available_cpus", lambda: cpus)
+        built[cpus] = _weight_bytes(knn_graph(X, neighbors=15))
+    assert built[1] == built[2] == built[5] == built[64]
+
+
+def test_knn_graph_bytes_do_not_depend_on_the_callers_blas_threads():
+    X = _three_tile_features()
+    built = {}
+    for count in (2, 1):
+        with caller_blas_threads(count):
+            built[count] = _weight_bytes(knn_graph(X, neighbors=15))
+    assert built[1] == built[2]
+
+
+def test_tile_rows_split_into_at_most_one_slice_per_worker_of_64_rows_or_more():
+    assert graph_module._row_cuts(512, 64) == list(range(0, 513, 64))  # not 64 slices of 8 rows
+    assert graph_module._row_cuts(512, 5) == [0, 102, 204, 307, 409, 512]
+    assert graph_module._row_cuts(449, 64) == [0, 64, 128, 192, 256, 320, 384, 449]
+    assert graph_module._row_cuts(127, 64) == [0, 127]
+    assert graph_module._row_cuts(512, 1) == [0, 512]
+
+
+def test_knn_graph_leaves_no_pool_thread_running(monkeypatch):
+    monkeypatch.setattr(threads, "available_cpus", lambda: 4)
+    X = _three_tile_features()
+    before = threading.active_count()
+    knn_graph(X, neighbors=15)
+    assert threading.active_count() == before
+    tiles = pairwise_cosine_distances(X)
+    for row0, col0, _ in tiles:
+        if col0 != row0:  # the first off-diagonal tile started the pool
+            assert threading.active_count() > before
+            break
+    tiles.close()  # a consumer that stops early
+    assert threading.active_count() == before
 
 
 def test_knn_tiles_must_cover_the_upper_triangle_once():

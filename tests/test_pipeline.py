@@ -18,7 +18,7 @@ import pytest
 from scipy import sparse
 from scipy.io import wavfile
 
-from _helpers import waveform_by_loop
+from _helpers import blas_threads, caller_blas_threads, waveform_by_loop
 from passby import plots
 from passby.cli import build_parser, main
 from passby.evaluate import align_labels, confusion, purity
@@ -591,6 +591,52 @@ def test_interrupt_discards_artifacts_and_propagates(tmp_path, monkeypatch):
         run_pipeline(PipelineConfig(out_dir=str(out)))
     assert not (out / "synthetic.wav").exists()
     assert not (out / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_run_holds_blas_at_one_thread_and_restores_the_callers_count(tmp_path, monkeypatch, fails):
+    seen = []
+
+    def graph_stage(*args, **kwargs):
+        seen.append(blas_threads())
+        if fails:
+            raise ZeroNormError("a window has zero norm")
+        return knn_graph(*args, **kwargs)
+
+    monkeypatch.setattr("passby.pipeline.knn_graph", graph_stage)
+    with caller_blas_threads(2):
+        cfg = PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3)
+        if fails:
+            with pytest.raises(StageError):
+                run_pipeline(cfg)
+        else:
+            run_pipeline(cfg)
+        assert seen == [[1] * len(seen[0])]
+        assert blas_threads() == [2] * len(seen[0])
+
+
+def test_cli_child_runs_every_openblas_it_loads_on_one_thread(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    # `python -m passby.cli`, then scipy's own OpenBLAS, which a small run does not load
+    probe = (
+        "import runpy, sys\n"
+        f"sys.argv = ['passby', '--out', {str(tmp_path / 'out')!r}, '--method', 'spectral', '--k', '3']\n"
+        "try:\n"
+        "    runpy.run_module('passby.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "import scipy.linalg\n"
+        "from passby import threads\n"
+        "print([get() for get, _ in threads._openblas().values()])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    counts = json.loads(out.stdout.strip().splitlines()[-1])
+    if not counts:
+        pytest.skip("no OpenBLAS is loaded")
+    assert counts == [1] * len(counts)
 
 
 # ------------------------------------------------------------------- CLI

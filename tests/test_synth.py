@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from _helpers import BlockSpec, distance_matrix, gen_block_similarity
 
-from passby import synth
+from passby import threads
 from passby.evaluate import confusion, purity
 from passby.graph import knn_graph, laplacian, pairwise_cosine_distances
 from passby.signal import WindowingConfig, stft_features
@@ -231,7 +231,7 @@ def test_vehicle_audio_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     sys.setswitchinterval(1e-6)  # interleave the workers as often as the interpreter can
     try:
         for cpus in (1, 3, 16):  # one worker, a few, and more than there are clips
-            monkeypatch.setattr(synth, "_available_cpus", lambda: cpus)
+            monkeypatch.setattr(threads, "available_cpus", lambda: cpus)
             built[cpus] = gen_vehicle_audio(bank, passages, rng_seed=4)[0].samples.tobytes()
     finally:
         sys.setswitchinterval(interval)
