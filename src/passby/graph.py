@@ -42,11 +42,13 @@ def pairwise_cosine_distances(
     row's distance to itself as 0.  The rows are normalized once, at the
     call, so a zero-norm row fails there.
 
-    Tiles are made one at a time, with BLAS held at one thread.  An
+    Tiles are made one at a time, with BLAS held at one thread where
+    `threads.one_blas_thread` finds the OpenBLAS (on Linux).  There an
     off-diagonal tile is split by rows among a pool of one worker per CPU;
     the slices hold the bits of the whole product, so the tiles depend on
-    neither the CPU count nor the caller's BLAS threads.  The pool and the
-    pin end with the iterator: when it is exhausted or closed.
+    neither the CPU count nor the caller's BLAS threads.  Elsewhere each
+    tile is one product, on BLAS's threads as the caller set them.  The pool
+    and the pin end with the iterator: when it is exhausted or closed.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -59,30 +61,28 @@ def pairwise_cosine_distances(
 
     def tiles() -> Iterator[tuple[int, int, npt.NDArray[np.float64]]]:
         starts = range(0, unit.shape[0], BLOCK_ROWS)
-        workers = threads.available_cpus()
-        with threads.one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            for row0, col0 in [(r, r) for r in starts] + [(r, c) for r in starts for c in starts if c > r]:
-                rows = unit[row0 : row0 + BLOCK_ROWS]
-                cols = unit[col0 : col0 + BLOCK_ROWS]
-                if row0 == col0:
-                    # one call, for which numpy calls syrk: row slices would
-                    # turn it into gemm, whose last bits differ
-                    d = rows @ rows.T
-                    _to_distances(d)
-                    np.fill_diagonal(d, 0.0)
-                else:
-                    # single-threaded gemm gives a row slice the bits of the whole product
-                    d = np.empty((rows.shape[0], cols.shape[0]))
-
-                    def fill(a: int, b: int) -> None:
-                        _to_distances(np.matmul(rows[a:b], cols.T, out=d[a:b]))
-
-                    cuts = _row_cuts(rows.shape[0], workers)
-                    if len(cuts) == 2:  # one slice: no worker needed
-                        fill(0, rows.shape[0])
+        with threads.one_blas_thread() as pinned:
+            # row slices hold the bits of the whole product only when BLAS runs on one thread
+            workers = threads.available_cpus() if pinned else 1
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for row0, col0 in [(r, r) for r in starts] + [(r, c) for r in starts for c in starts if c > r]:
+                    rows = unit[row0 : row0 + BLOCK_ROWS]
+                    cols = unit[col0 : col0 + BLOCK_ROWS]
+                    if row0 == col0:
+                        # one call, for which numpy calls syrk: row slices would
+                        # turn it into gemm, whose last bits differ
+                        d = rows @ rows.T
+                        _to_distances(d)
+                        np.fill_diagonal(d, 0.0)
                     else:
+                        d = np.empty((rows.shape[0], cols.shape[0]))
+
+                        def fill(a: int, b: int) -> None:
+                            _to_distances(np.matmul(rows[a:b], cols.T, out=d[a:b]))
+
+                        cuts = _row_cuts(rows.shape[0], workers)
                         list(pool.map(fill, cuts[:-1], cuts[1:]))
-                yield row0, col0, d
+                    yield row0, col0, d
 
     return tiles()
 

@@ -266,8 +266,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     re-raises as StageError naming the stage.  An interrupt (KeyboardInterrupt,
     SystemExit) removes them too and propagates unchanged.
 
-    BLAS runs on one thread for the whole run, so the outputs do not depend
-    on the core count; the caller's thread count comes back at the end.
+    BLAS runs on one thread for the whole run where `one_blas_thread` can
+    hold it (OpenBLAS, on Linux), so the outputs do not depend on the core
+    count; the caller's thread count comes back at the end.
     """
     stages = _Stages(Path(cfg.out_dir))
     try:

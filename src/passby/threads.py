@@ -2,8 +2,9 @@
 
 OpenBLAS starts a thread per CPU and splits each product among them, so its
 bits follow the thread count.  `one_blas_thread` holds every OpenBLAS the
-process has loaded (numpy's copy and scipy's) at one thread; other BLAS
-builds are left as they are.
+process has loaded (numpy's copy and scipy's) at one thread.  It finds
+them in /proc/self/maps, so off Linux it holds none; other BLAS builds are
+left as they are too.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ def available_cpus() -> int:
 
 
 @contextmanager
-def one_blas_thread() -> Iterator[None]:
+def one_blas_thread() -> Iterator[bool]:
     """Hold every loaded OpenBLAS at one thread; give each its count back when the last pin ends.
 
-    Pins nest, and several threads may hold one at once.  Entering a pin
-    also pins the copies loaded since an outer pin began.
+    Yields whether any OpenBLAS is held, by this pin or another.  Pins nest,
+    and several threads may hold one at once.  Entering a pin also pins the
+    copies loaded since an outer pin began.
     """
     global _holders
     with _lock:
@@ -51,8 +53,9 @@ def one_blas_thread() -> Iterator[None]:
             if path not in _saved:
                 _saved[path] = (get(), set_count)
                 set_count(1)
+        pinned = bool(_saved)
     try:
-        yield
+        yield pinned
     finally:
         with _lock:
             _holders -= 1
@@ -62,17 +65,28 @@ def one_blas_thread() -> Iterator[None]:
                 _saved.clear()
 
 
-def _openblas() -> dict[str, tuple[Callable[[], int], Callable[[int], None]]]:
-    """The thread-count getter and setter of each OpenBLAS this process has loaded."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:  # no /proc: nothing is found, nothing is pinned
-        return {}
+def _openblas(maps: str | None = None) -> dict[str, tuple[Callable[[], int], Callable[[int], None]]]:
+    """The thread-count getter and setter of each OpenBLAS this process has loaded.
+
+    The libraries are found in `maps`, the text of /proc/self/maps, read here
+    when not given.  A copy that cannot be opened by its path (its file was
+    removed or replaced) is left out, and so stays as it is.
+    """
+    if maps is None:
+        try:
+            maps = Path("/proc/self/maps").read_text()
+        except OSError:  # no /proc: nothing is found, nothing is pinned
+            return {}
     import ctypes  # here, so that importing passby does not pay for it
 
+    # address, permissions, offset, device, inode, then the path, which may hold spaces
+    paths = {f[5] for f in (line.split(maxsplit=5) for line in maps.splitlines()) if len(f) == 6}
     found = {}
-    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line and ".so" in line}):
-        lib = ctypes.CDLL(path)  # the loaded library itself: its handle, not a second copy
+    for path in sorted(p for p in paths if "openblas" in p and ".so" in p):
+        try:
+            lib = ctypes.CDLL(path)  # the loaded library itself: its handle, not a second copy
+        except OSError:  # e.g. a mapping of a removed file, shown as "<path> (deleted)"
+            continue
         for get_name, set_name in _SYMBOLS:
             get, set_count = getattr(lib, get_name, None), getattr(lib, set_name, None)
             if get is not None and set_count is not None:

@@ -311,6 +311,17 @@ def test_knn_graph_leaves_no_pool_thread_running(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_tiles_are_not_split_where_no_openblas_is_held(monkeypatch):
+    # elsewhere BLAS may run many threads, and so may each worker's product
+    monkeypatch.setattr(threads, "available_cpus", lambda: 4)
+    monkeypatch.setattr(threads, "_openblas", lambda: {})
+    workers = []
+    row_cuts = graph_module._row_cuts
+    monkeypatch.setattr(graph_module, "_row_cuts", lambda rows, w: workers.append(w) or row_cuts(rows, w))
+    knn_graph(_three_tile_features(), neighbors=15)
+    assert workers == [1, 1, 1]  # one call per off-diagonal tile
+
+
 def test_knn_tiles_must_cover_the_upper_triangle_once():
     d = np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0)))
     tiles = _upper_tiles(d, 2)

@@ -1,12 +1,14 @@
-"""The BLAS pin: nesting, several holders at once, and the caller's count restored."""
+"""The BLAS pin: finding the libraries, nesting, several holders at once, and the caller's count restored."""
 
 from __future__ import annotations
 
 import sys
 import threading
 
+import pytest
 from _helpers import blas_threads, caller_blas_threads
 
+from passby import threads
 from passby.threads import one_blas_thread
 
 HOLDERS = 8  # more threads than the host's cores
@@ -44,3 +46,31 @@ def test_pins_held_from_many_threads_keep_one_thread_and_restore_the_count():
             assert blas_threads() == [2] * len(blas_threads())
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_library_path_with_spaces_is_read_whole_and_one_that_cannot_be_opened_is_left_out(tmp_path):
+    loaded = threads._openblas()
+    if not loaded:
+        pytest.skip("no OpenBLAS is loaded")
+    real = next(iter(loaded))
+    spaced = tmp_path / "my proj" / "libscipy_openblas64_.so"  # a venv under a directory with a space
+    spaced.parent.mkdir()
+    spaced.symlink_to(real)  # the same file, so the same loaded library
+    gone = tmp_path / "gone" / "libopenblas.so"
+    maps = (
+        f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1001                     {spaced}\n"
+        f"7f0000001000-7f0000002000 r-xp 00000000 08:01 1002                     {real} (deleted)\n"
+        f"7f0000002000-7f0000003000 r-xp 00000000 08:01 1003                     {gone}\n"
+        "7f0000003000-7f0000004000 rw-p 00000000 00:00 0 \n"
+    )
+    found = threads._openblas(maps)
+    assert list(found) == [str(spaced)]
+    assert found[str(spaced)][0]() == loaded[real][0]()
+
+
+def test_a_pin_that_finds_no_openblas_says_so(monkeypatch):
+    with one_blas_thread() as pinned:
+        assert pinned == bool(threads._openblas())
+    monkeypatch.setattr(threads, "_openblas", lambda: {})
+    with one_blas_thread() as pinned:
+        assert not pinned
