@@ -31,7 +31,7 @@ class ScaleError(ValueError):
 
 
 def pairwise_cosine_distances(
-    features: npt.ArrayLike,
+    features: npt.ArrayLike, *, overwrite_features: bool = False
 ) -> Iterator[tuple[int, int, npt.NDArray[np.float64]]]:
     """Cosine distances between feature rows, as the upper-triangle tiles of their matrix.
 
@@ -39,8 +39,11 @@ def pairwise_cosine_distances(
     columns `col0...`, up to `BLOCK_ROWS` of each, clipped to [0, 2], with
     `col0 >= row0`.  The diagonal tiles come first, so that each row's
     first tile holds its own block's distances; a diagonal tile holds each
-    row's distance to itself as 0.  The rows are normalized once, at the
-    call, so a zero-norm row fails there.
+    row's distance to itself as 0.  The norms are taken at the call, so a
+    zero-norm row fails there; the rows are divided by them once, when the
+    first tile is asked for.  With `overwrite_features`, a writable float64
+    array is divided in place, the same division, instead of into a copy:
+    the caller's matrix then holds the unit rows.
 
     Tiles are made one at a time, with BLAS held at one thread where
     `threads.one_blas_thread` finds the OpenBLAS (on Linux).  There an
@@ -57,9 +60,13 @@ def pairwise_cosine_distances(
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         raise ZeroNormError(f"zero-norm feature rows: {bad.tolist()}")
-    unit = X / norms[:, None]
 
     def tiles() -> Iterator[tuple[int, int, npt.NDArray[np.float64]]]:
+        if overwrite_features and X.flags.writeable:
+            unit = X
+            unit /= norms[:, None]
+        else:
+            unit = X / norms[:, None]
         starts = range(0, unit.shape[0], BLOCK_ROWS)
         with threads.one_blas_thread() as pinned:
             # row slices hold the bits of the whole product only when BLAS runs on one thread
@@ -152,15 +159,23 @@ class SimilarityGraph:
         return list(zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()))
 
 
-def knn_graph(features: npt.ArrayLike, neighbors: int = 15) -> SimilarityGraph:
+def knn_graph(
+    features: npt.ArrayLike, neighbors: int = 15, *, overwrite_features: bool = False
+) -> SimilarityGraph:
     """Mutual-OR nearest-neighbor graph with locally scaled Gaussian weights.
 
     Distances are cosine.  Edge (i, j) exists iff j is among i's `neighbors`
     nearest or i among j's.  Only the upper-triangle tiles of the distance
     matrix are formed, one at a time, so each distance is computed once and
     no n x n array, nor any block of whole rows, is ever held.
+
+    The rows are normalized into a copy, so `features` is left as it was.
+    With `overwrite_features=True` (as scipy's `overwrite_a`), a writable
+    float64 array is normalized in place instead, which saves that copy; the
+    graph holds the same bits either way.
     """
-    with closing(pairwise_cosine_distances(features)) as tiles:  # its pool ends here
+    tiles = pairwise_cosine_distances(features, overwrite_features=overwrite_features)
+    with closing(tiles):  # its pool ends here
         return knn_graph_from_distances(tiles, len(features), neighbors)
 
 
@@ -200,6 +215,7 @@ def knn_graph_from_distances(
         if col0 != row0:
             _fold(d.T, col0, row0, False, near_d, near_c, above)
             covered[col0 : col0 + d.shape[1]] += d.shape[0]
+    tile = d = None  # the last tile goes before the graph is built
     if np.any(covered != n):
         raise ValueError(f"the tiles must cover the upper triangle of an {n} x {n} matrix once")
     scales = near_d[:, -1].copy()

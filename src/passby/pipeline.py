@@ -310,7 +310,8 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
             bank = default_vehicle_bank()
             # the synthetic input's length is known before anything is made or written
             check_input(len(bank) * PASSES * round(CLIP_S * SAMPLE_RATE))
-            synthetic, synthetic_spans = gen_vehicle_audio(bank, rng_seed=cfg.seed)
+            # float32, the file's encoding: the samples are held once and written as they are
+            synthetic, synthetic_spans = gen_vehicle_audio(bank, rng_seed=cfg.seed, dtype=np.float32)
             write_wav(synthetic, stages.track(out / "synthetic.wav"), encoding="float32")
             del synthetic  # ingest reads it back from the file
             entries = [
@@ -337,10 +338,17 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
         del recording
 
     with stages.stage("graph"):
-        graph = knn_graph(features.values, neighbors=cfg.neighbors)
+        # the run's own matrix: its rows may become the unit rows in place
+        graph = knn_graph(features.values, neighbors=cfg.neighbors, overwrite_features=True)
+        # nothing after this stage reads the magnitudes: keep the window times,
+        # the envelope and the counts, and free the matrix
+        n_windows, n_coefficients = features.values.shape
+        start_times, envelope = features.start_times, features.envelope
+        window_len, sample_rate = features.window_len, features.sample_rate
+        del features
 
     with stages.stage("spectrum"):
-        p = min(features.n_windows, max(cfg.k_max + 1, 20, pairs))
+        p = min(n_windows, max(cfg.k_max + 1, 20, pairs))
         embedding = eigendecompose(laplacian(graph), p)
         k_estimated = (
             estimate_k(embedding.eigenvalues, cfg.k_max) if embedding.p >= cfg.k_max + 1 else None
@@ -374,7 +382,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
                 records[method] = {"wcss": km.wcss, "columns": E.shape[1]}
 
     with stages.stage("evaluate"):
-        mids = features.start_times + features.window_len / (2.0 * features.sample_rate)
+        mids = start_times + window_len / (2.0 * sample_rate)
         truth_names = labels_from_spans(spans, mids)
         truth_ids, class_names = densify(truth_names)
         for method, partition in partitions.items():
@@ -395,7 +403,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
             (
                 [i, repr(float(t)), int(c), name]
                 for i, (t, c, name) in enumerate(
-                    zip(features.start_times, primary_labels, truth_names)
+                    zip(start_times, primary_labels, truth_names)
                 )
             ),
         )
@@ -430,7 +438,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
                     "alignment": record["alignment"],
                 },
             )
-        stages.write_text("plots/waveform.svg", plots.waveform_svg(features.envelope))
+        stages.write_text("plots/waveform.svg", plots.waveform_svg(envelope))
         plots.emit_plots(
             stages.write_text,
             embedding.eigenvalues,
@@ -443,9 +451,9 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
     with stages.stage("report"):
         report = {
             "parameters": asdict(cfg),
-            "n_windows": features.n_windows,
-            "n_coefficients": features.n_coefficients,
-            "sample_rate": features.sample_rate,
+            "n_windows": n_windows,
+            "n_coefficients": n_coefficients,
+            "sample_rate": sample_rate,
             "duration_s": duration_s,
             "k": {
                 "requested": cfg.k,

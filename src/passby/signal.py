@@ -39,13 +39,20 @@ class ManifestError(ValueError):
 
 @dataclass(frozen=True)
 class AudioSignal:
-    """Mono audio: float64 samples plus the sample rate that produced them."""
+    """Mono audio: float64 or float32 samples plus the sample rate that produced them.
 
-    samples: npt.NDArray[np.float64]
+    Samples of any other type are converted to float64; float32 ones are kept
+    as they are, so a float32 signal is held once.
+    """
+
+    samples: npt.NDArray[np.float64] | npt.NDArray[np.float32]
     sample_rate: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        samples = np.asarray(self.samples)
+        if samples.dtype != np.float32:
+            samples = samples.astype(np.float64, copy=False)
+        object.__setattr__(self, "samples", samples)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if self.samples.size == 0:
@@ -152,7 +159,8 @@ class FeatureMatrix:
             raise ValueError("values must be a 2-D array")
         if self.start_times.shape != (self.values.shape[0],):
             raise ValueError("start_times must hold one entry per window")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
+        # reductions, not elementwise masks: NaN reaches both, and no n x m temporary is made
+        if self.values.size and not (0.0 <= self.values.min() and self.values.max() < np.inf):
             raise ValueError("feature values must be finite and nonnegative")
 
     @property
@@ -236,7 +244,7 @@ def _to_float(raw: np.ndarray, out: np.ndarray) -> None:
 def write_wav(signal: AudioSignal, path: str | Path, encoding: str = "float32") -> None:
     """Encode mono audio to WAV. float32 round-trips exactly; pcm16 quantizes."""
     if encoding == "float32":
-        wavfile.write(str(path), signal.sample_rate, signal.samples.astype(np.float32))
+        wavfile.write(str(path), signal.sample_rate, signal.samples.astype(np.float32, copy=False))
     elif encoding == "pcm16":
         q = np.clip(np.round(signal.samples * 2.0**15), -(2.0**15), 2.0**15 - 1)
         wavfile.write(str(path), signal.sample_rate, q.astype(np.int16))

@@ -86,6 +86,7 @@ def gen_vehicle_audio(
     passages: tuple[int, ...] | None = None,
     *,
     rng_seed: int = 0,
+    dtype: npt.DTypeLike = np.float64,
 ) -> tuple[AudioSignal, list[LabelSpan]]:
     """Concatenated `CLIP_S`-second pass-by clips at `SAMPLE_RATE`, plus their true label spans.
 
@@ -95,6 +96,10 @@ def gen_vehicle_audio(
     stays constant, so clip edges carry the weakest signatures.  Clips are
     built on one thread per CPU the process may run on; the samples do not
     depend on that count.
+
+    The samples are computed in float64.  With `dtype=np.float32` each block
+    is rounded into the float32 samples as it is finished, which gives the
+    bytes of the float64 samples' `astype(np.float32)` without holding them.
     """
     specs = tuple(specs)
     if not specs:
@@ -112,9 +117,11 @@ def gen_vehicle_audio(
         raise ValueError("at least one passage is required")
     if any(not 0 <= v < len(specs) for v in passages):
         raise ValueError("passages must index into specs")
+    if np.dtype(dtype) not in (np.float64, np.float32):
+        raise ValueError(f"dtype must be float64 or float32, got {np.dtype(dtype)}")
     n = int(round(CLIP_S * SAMPLE_RATE))
     t = np.arange(n) / SAMPLE_RATE
-    samples = np.empty(n * len(passages))
+    samples = np.empty(n * len(passages), dtype=dtype)
     # each clip owns its seed stream and its slice of `samples`, so the clips
     # build at once and their bytes do not depend on the worker count
     with ThreadPoolExecutor(max_workers=min(threads.available_cpus(), len(passages))) as pool:
@@ -129,7 +136,7 @@ def gen_vehicle_audio(
 
 
 def _build_clip(
-    x: npt.NDArray[np.float64],
+    x: npt.NDArray[np.float64] | npt.NDArray[np.float32],
     spec: VehicleSpec,
     idx: int,
     t: npt.NDArray[np.float64],
@@ -141,7 +148,8 @@ def _build_clip(
     over h in order, times the envelope, plus `broadband_level * noise`, with
     the operations grouped as in that formula, so the bytes match a whole-clip
     build.  The noise is drawn after every (wobble, phase) pair, block by
-    block, which gives the values of one whole-clip draw.
+    block, which gives the values of one whole-clip draw.  A float32 `x` gets
+    each block summed in a second float64 scratch buffer, then rounded in.
     """
     # the middle 0 keeps the stream every clip has always drawn
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(rng_seed, 0, idx)))
@@ -151,8 +159,10 @@ def _build_clip(
         phase = rng.uniform(0.0, 2.0 * np.pi)
         harmonics.append((2.0 * np.pi * spec.fundamental_hz * h, phase, amp * wobble))
     scratch = np.empty(SYNTH_BLOCK_SAMPLES)
+    sums = np.empty(SYNTH_BLOCK_SAMPLES) if x.dtype != np.float64 else None
     for start in range(0, x.size, SYNTH_BLOCK_SAMPLES):
-        xb = x[start : start + SYNTH_BLOCK_SAMPLES]
+        out = x[start : start + SYNTH_BLOCK_SAMPLES]
+        xb = out if sums is None else sums[: out.size]
         tb = t[start : start + SYNTH_BLOCK_SAMPLES]
         buf = scratch[: xb.size]
         xb.fill(0.0)
@@ -172,3 +182,5 @@ def _build_clip(
         rng.standard_normal(out=buf)
         buf *= spec.broadband_level
         xb += buf
+        if sums is not None:
+            out[...] = xb  # rounded to float32, as astype rounds

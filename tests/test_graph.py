@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import threading
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -257,6 +258,78 @@ def test_knn_graph_holds_no_block_of_whole_rows():
     finally:
         tracemalloc.stop()
     assert peak < graph_module.BLOCK_ROWS * 1500 * 8
+
+
+def _peak_and_graph(X, **kwargs):
+    tracemalloc.start()
+    try:
+        g = knn_graph(X, neighbors=15, **kwargs)
+        return tracemalloc.get_traced_memory()[1], g
+    finally:
+        tracemalloc.stop()
+
+
+def test_overwriting_the_features_builds_the_same_graph_without_a_copy():
+    # three tiles a side outweigh the 1500 x 64 matrix, so the copy sits on the tile pass's peak
+    X = _random_features(np.random.default_rng(12), 1500, 64)
+    before = X.tobytes()
+    knn_graph(X, neighbors=15)  # the first call's one-time allocations are not the copy's
+    copy_peak, copied = _peak_and_graph(X)
+    assert X.tobytes() == before  # by default the features are left as they were
+    unit = X / np.linalg.norm(X, axis=1)[:, None]
+    overwrite_peak, overwritten = _peak_and_graph(X, overwrite_features=True)
+    assert _weight_bytes(overwritten) == _weight_bytes(copied)
+    assert X.tobytes() == unit.tobytes()  # the rows, divided in place
+    # one matrix lower, give or take the interpreter's own few hundred bytes
+    assert copy_peak - overwrite_peak > 0.99 * X.nbytes
+
+
+def test_overwrite_copies_what_it_may_not_overwrite():
+    X = _random_features(np.random.default_rng(7), 200, 6)
+    before = X.tobytes()
+    expected = _weight_bytes(knn_graph(X, neighbors=10))
+    X.flags.writeable = False
+    assert _weight_bytes(knn_graph(X, neighbors=10, overwrite_features=True)) == expected
+    as_list = X.tolist()
+    assert _weight_bytes(knn_graph(as_list, neighbors=10, overwrite_features=True)) == expected
+    assert X.tobytes() == before
+
+
+def test_overwrite_leaves_a_matrix_with_a_zero_row_as_it_was():
+    X = _random_features(np.random.default_rng(8), 50, 4)
+    X[17] = 0.0
+    before = X.tobytes()
+    with pytest.raises(ZeroNormError, match=r"zero-norm feature rows: \[17\]"):
+        knn_graph(X, neighbors=5, overwrite_features=True)
+    assert X.tobytes() == before
+
+
+@pytest.mark.parametrize("neighbors", [0, 50])
+def test_overwrite_leaves_the_matrix_as_it_was_when_neighbors_is_rejected(neighbors):
+    X = _random_features(np.random.default_rng(10), 50, 4)
+    before = X.tobytes()
+    with pytest.raises(ValueError, match=r"neighbors must lie in \[1, 49\]"):
+        knn_graph(X, neighbors=neighbors, overwrite_features=True)
+    assert X.tobytes() == before
+
+
+def test_the_last_tile_is_freed_before_the_graph_is_built(monkeypatch):
+    X = _random_features(np.random.default_rng(9), 600, 5)
+    made = []
+
+    def tiles():
+        for row0, col0, d in pairwise_cosine_distances(X):
+            made.append(weakref.ref(d))
+            yield row0, col0, d
+
+    build = graph_module.SimilarityGraph
+
+    def checked(**kwargs):
+        assert made and all(tile() is None for tile in made)
+        return build(**kwargs)
+
+    monkeypatch.setattr(graph_module, "SimilarityGraph", checked)
+    knn_graph_from_distances(tiles(), 600, neighbors=15)
 
 
 def _three_tile_features():

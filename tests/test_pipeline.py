@@ -91,6 +91,14 @@ def test_default_run_writes_all_artifacts(default_run):
     assert report["artifacts"] == EXPECTED_ARTIFACTS
 
 
+def test_default_run_writes_the_synthetic_samples_rounded_to_float32(default_run):
+    report, out = default_run
+    signal, _ = gen_vehicle_audio(default_vehicle_bank(), rng_seed=report["parameters"]["seed"])
+    rate, data = wavfile.read(out / "synthetic.wav")
+    assert (rate, data.dtype) == (48000, np.float32)
+    assert data.tobytes() == signal.samples.astype(np.float32).tobytes()
+
+
 def test_default_run_report_contents(default_run):
     report, _ = default_run
     assert report["n_windows"] == 144
@@ -540,6 +548,28 @@ def test_composite_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):
     report = run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3))
     assert report["duration_s"] == 18.0
     assert (tmp_path / "out" / "plots" / "waveform.svg").is_file()
+
+
+def test_feature_matrix_is_freed_once_the_graph_is_built(tmp_path, monkeypatch):
+    # the graph stage normalizes the run's own matrix in place, then lets it go
+    from passby import pipeline
+
+    matrices = []
+    build, solve = pipeline.knn_graph, pipeline.eigendecompose
+
+    def tracked_build(features, *args, **kwargs):
+        matrices.append(weakref.ref(features))
+        assert kwargs.get("overwrite_features") is True
+        return build(features, *args, **kwargs)
+
+    def checked_solve(*args, **kwargs):
+        assert matrices and matrices[0]() is None
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "knn_graph", tracked_build)
+    monkeypatch.setattr(pipeline, "eigendecompose", checked_solve)
+    report = run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3))
+    assert (report["n_windows"], report["n_coefficients"]) == (144, 1500)
 
 
 def test_waveform_is_rendered_after_the_graph_is_built(tmp_path, monkeypatch):

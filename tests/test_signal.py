@@ -183,6 +183,21 @@ def test_write_wav_float32_roundtrip(tmp_path):
     assert np.array_equal(back.samples, x)
 
 
+def test_float32_samples_are_kept_and_written_without_a_copy(tmp_path):
+    x = np.random.default_rng(0).uniform(-0.9, 0.9, 200_000).astype(np.float32)
+    signal = AudioSignal(samples=x, sample_rate=8000)
+    assert signal.samples is x
+    assert AudioSignal(samples=[0.5, 1], sample_rate=8000).samples.dtype == np.float64
+    tracemalloc.start()
+    try:
+        write_wav(signal, tmp_path / "a.wav", encoding="float32")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes // 4
+    assert wavfile.read(tmp_path / "a.wav")[1].tobytes() == x.tobytes()
+
+
 def test_write_wav_pcm16_quantizes(tmp_path):
     path = tmp_path / "q.wav"
     write_wav(AudioSignal(samples=np.array([0.5]), sample_rate=8000), path, encoding="pcm16")
@@ -569,6 +584,47 @@ def test_feature_matrix_rejects_negative_values():
             sample_rate=10,
             envelope=np.zeros((2, 1)),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_matrix_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        FeatureMatrix(
+            values=np.array([[1.0, 0.5], [bad, 2.0]]),
+            start_times=np.array([0.0, 0.4]),
+            window_len=4,
+            sample_rate=10,
+            envelope=np.zeros((2, 1)),
+        )
+
+
+def test_feature_matrix_checks_its_values_without_a_mask():
+    # a boolean n x m mask is an eighth of the values
+    values = np.random.default_rng(0).uniform(0.0, 1.0, (400, 300))
+    tracemalloc.start()
+    try:
+        FeatureMatrix(
+            values=values,
+            start_times=np.arange(400.0),
+            window_len=6,
+            sample_rate=10,
+            envelope=np.zeros((2, 1)),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes // 32
+
+
+def test_feature_matrix_may_hold_no_windows():
+    features = FeatureMatrix(
+        values=np.empty((0, 3)),
+        start_times=np.empty(0),
+        window_len=6,
+        sample_rate=10,
+        envelope=np.zeros((2, 1)),
+    )
+    assert (features.n_windows, features.n_coefficients) == (0, 3)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from passby.synth import (
     CLIP_S,
     PASSES,
     SAMPLE_RATE,
+    SYNTH_BLOCK_SAMPLES,
     VehicleSpec,
     default_vehicle_bank,
     gen_vehicle_audio,
@@ -236,6 +238,43 @@ def test_vehicle_audio_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert built[1] == built[3] == built[16]
+
+
+@pytest.mark.parametrize(
+    "passages, seeds",
+    [(None, (0, 1, 2, 3)), ((1,), (6,)), ((0, 1, 2) * 10, (5,))],
+    ids=["default", "one", "thirty"],
+)
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_float32_vehicle_audio_is_the_rounded_float64_build(monkeypatch, passages, seeds, cpus):
+    bank = default_vehicle_bank()
+    monkeypatch.setattr(threads, "available_cpus", lambda: cpus)
+    for seed in seeds:
+        single, _ = gen_vehicle_audio(bank, passages, rng_seed=seed, dtype=np.float32)
+        double, _ = gen_vehicle_audio(bank, passages, rng_seed=seed)
+        assert single.samples.dtype == np.float32
+        assert single.samples.tobytes() == double.samples.astype(np.float32).tobytes()
+
+
+def test_vehicle_audio_rejects_other_sample_types():
+    with pytest.raises(ValueError, match="float64 or float32"):
+        gen_vehicle_audio(default_vehicle_bank(), (0,), dtype=np.float16)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_vehicle_audio_holds_its_samples_and_block_scratch_only(monkeypatch, dtype):
+    # no whole-recording temporary: beyond the samples, the clip's time axis
+    # and two float64 blocks per worker (float32 sums its blocks apart)
+    cpus = 3
+    monkeypatch.setattr(threads, "available_cpus", lambda: cpus)
+    tracemalloc.start()
+    try:
+        signal, _ = gen_vehicle_audio(default_vehicle_bank(), rng_seed=0, dtype=dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    clip_time_axis = round(CLIP_S * SAMPLE_RATE) * 8
+    assert peak - signal.samples.nbytes < clip_time_axis + cpus * 2 * SYNTH_BLOCK_SAMPLES * 8 + 2**18
 
 
 def test_vehicle_audio_leaves_no_thread_running():

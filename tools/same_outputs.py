@@ -2,8 +2,11 @@
 
     python3 tools/same_outputs.py OLD_SRC NEW_SRC [--workload W] [--seed N|A-B] [-- FLAGS]
 
---workload and --seed repeat (default: every workload, seed 1), and --seed
-takes an inclusive range such as 0-40; FLAGS go to every passby command.
+--workload and --seed repeat, and --seed takes an inclusive range such as
+0-40.  Each --seed belongs to the --workload before it; seeds given before
+any --workload belong to every workload.  With no --workload every
+workload runs, and a workload left without seeds runs seed 1.  FLAGS go to
+every passby command.
 Inputs come from bench/workloads.py::prepare, cached under --root and
 generated with OLD_SRC.  Every artifact of the two runs must be
 byte-identical, and so must report.json without `timings` and
@@ -104,23 +107,43 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def main() -> int:
+def parse(
+    argv: list[str], workloads: list[str]
+) -> tuple[argparse.Namespace, list[tuple[str, list[int]]], list[str]]:
+    """The options, the (workload, seeds) pairs to run in order, and the FLAGS after `--`."""
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
-    p.add_argument("--workload", action="append")
-    p.add_argument("--seed", type=_seeds, action="extend")
+    # one list in command-line order, so each seed can find its workload
+    p.add_argument("--workload", dest="steps", action="append", type=lambda w: (w, None))
+    p.add_argument("--seed", dest="steps", action="append", type=lambda s: (None, _seeds(s)))
     p.add_argument("--root", type=Path, default=ROOT / ".bench_out" / "same_outputs")
-    argv, extra = sys.argv[1:], []
+    extra = []
     if "--" in argv:
         argv, extra = argv[: argv.index("--")], argv[argv.index("--") + 1 :]
     opts = p.parse_args(argv)
-    sys.path[:0] = [str(ROOT / "bench"), str(opts.old.resolve())]
+    common: list[int] = []
+    pairs: list[tuple[str, list[int]]] = []
+    for workload, seeds in opts.steps or []:
+        if workload is not None:
+            pairs.append((workload, []))
+        elif pairs:
+            pairs[-1][1].extend(seeds)
+        else:
+            common.extend(seeds)
+    pairs = pairs or [(name, []) for name in workloads]
+    return opts, [(name, common + seeds or [1]) for name, seeds in pairs], extra
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "bench"))
     from workloads import WORKLOADS, command, prepare
 
+    opts, pairs, extra = parse(sys.argv[1:], list(WORKLOADS))
+    sys.path.insert(0, str(opts.old.resolve()))  # inputs are generated with OLD_SRC
     differences = 0
-    for name in opts.workload or list(WORKLOADS):
-        for seed in opts.seed or [1]:
+    for name, seeds in pairs:
+        for seed in seeds:
             inputs = prepare(WORKLOADS[name], seed, opts.root)
             runs = []
             for side, src in (("old", opts.old), ("new", opts.new)):
