@@ -16,6 +16,7 @@ from . import threads
 SCALE_FLOOR = 1e-12
 BLOCK_ROWS = 512  # rows and columns per tile of the distance pass
 MIN_SLICE_ROWS = 64  # rows per worker's gemm call, at least: thinner calls cost more than they share
+NORM_ROWS = 32  # rows per row-norm call, so its squares are a small block, not an n x m array
 
 
 class ZeroNormError(ValueError):
@@ -56,7 +57,15 @@ def pairwise_cosine_distances(
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D array (rows = points)")
-    norms = np.linalg.norm(X, axis=1)
+    # Row blocks give the bits of one whole call: each row is summed on its own,
+    # in the order numpy picks from the layout, which a block of several rows
+    # shares.  A lone row is summed pairwise whatever the layout, so a lone
+    # last row joins the block before it.
+    n = X.shape[0]
+    starts = range(0, max(n - 1, 1), NORM_ROWS)
+    norms = np.empty(n)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        norms[start:stop] = np.linalg.norm(X[start:stop], axis=1)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         raise ZeroNormError(f"zero-norm feature rows: {bad.tolist()}")

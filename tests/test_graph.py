@@ -295,6 +295,31 @@ def test_overwrite_copies_what_it_may_not_overwrite():
     assert X.tobytes() == before
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize(("n", "d"), [(1000, 37), (333, 1500), (65, 200)])
+def test_row_norms_in_blocks_keep_the_bits_of_one_call(n, d, layout):
+    # 65 rows end in a lone row, which numpy sums pairwise even where it sums a block by columns
+    X = _random_features(np.random.default_rng(n), n, d)
+    X = {"C": X, "F": np.asfortranarray(X), "strided": np.repeat(X, 2, axis=1)[:, ::2]}[layout]
+    expected = X / np.linalg.norm(X, axis=1)[:, None]
+    tiles = pairwise_cosine_distances(X, overwrite_features=True)
+    next(tiles)
+    tiles.close()
+    assert X.tobytes() == expected.tobytes()  # the rows, divided by the same norms
+
+
+def test_row_norms_hold_no_temporary_of_the_features_size():
+    X = _random_features(np.random.default_rng(3), 1000, 500)
+    tracemalloc.start()
+    try:
+        tiles = pairwise_cosine_distances(X, overwrite_features=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tiles.close()
+    assert peak < X.nbytes
+
+
 def test_overwrite_leaves_a_matrix_with_a_zero_row_as_it_was():
     X = _random_features(np.random.default_rng(8), 50, 4)
     X[17] = 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from scipy import sparse
 from scipy.io import wavfile
 
 from _helpers import blas_threads, caller_blas_threads, waveform_by_loop
-from passby import plots
+from passby import cli, plots
 from passby.cli import build_parser, main
 from passby.evaluate import align_labels, confusion, purity
 from passby.graph import ZeroNormError, knn_graph, laplacian
@@ -669,14 +670,54 @@ def test_cli_child_runs_every_openblas_it_loads_on_one_thread(tmp_path):
     assert counts == [1] * len(counts)
 
 
+def test_cli_child_freezes_its_imports(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # `python -m passby.cli`, stopped by a configuration error before the run
+    probe = (
+        "import gc, runpy, sys\n"
+        f"sys.argv = ['passby', '--out', {str(tmp_path / 'out')!r}, '--k', '1']\n"
+        "try:\n"
+        "    runpy.run_module('passby.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    code, frozen = map(int, out.stdout.split())
+    assert code == 2
+    assert frozen > 0
+
+
 # ------------------------------------------------------------------- CLI
+
+
+@pytest.mark.parametrize(("flags", "expected"), [(["--method", "spectral", "--k", "3"], 0), (["--k", "1"], 2)])
+def test_console_freezes_then_exits_with_the_code_of_main(tmp_path, monkeypatch, flags, expected):
+    events = []
+    run = cli.main
+
+    def traced_main():
+        events.append("main")
+        return run()
+
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))  # the test process stays unfrozen
+    monkeypatch.setattr(cli, "main", traced_main)
+    monkeypatch.setattr(sys, "argv", ["passby", "--out", str(tmp_path / "out"), *flags])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.console()
+    assert exit_info.value.code == expected
+    assert events == ["freeze", "main"]
+    assert (tmp_path / "out" / "labels.csv").is_file() == (expected == 0)
 
 
 def test_cli_spectral_run(tmp_path, capsys):
     out = tmp_path / "cli"
+    frozen = gc.get_freeze_count()
     code = main(["--out", str(out), "--method", "spectral", "--k", "3"])
     captured = capsys.readouterr()
     assert code == 0
+    assert gc.get_freeze_count() == frozen  # a library call leaves the caller's collector alone
     assert "windows: 144 x 1500 coefficients" in captured.out
     assert "k: used 3" in captured.out
     assert "spectral: purity" in captured.out

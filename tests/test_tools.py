@@ -11,12 +11,21 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ["cli-default", "reseed-480", "spectral-2880"]
 
 
-@pytest.fixture(scope="module")
-def same_outputs():
-    spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def same_outputs():
+    return _load("same_outputs")
+
+
+@pytest.fixture(scope="module")
+def ab_bench():
+    return _load("ab_bench")
 
 
 def _pairs(module, flags=""):
@@ -51,3 +60,45 @@ def test_same_outputs_passes_what_follows_the_separator_to_passby(same_outputs):
     assert (opts.old, opts.new) == (Path("old"), Path("new"))
     assert pairs == [("cli-default", [1])]
     assert extra == ["--overlap", "0.5", "--seed", "9"]
+
+
+def test_ab_bench_defaults_to_seed_1_and_the_workload_as_label(ab_bench):
+    opts = ab_bench.parse(["old", "new", "--workload", "cli-default", "--pairs", "10"], WORKLOADS)
+    assert (opts.old, opts.new, opts.workload, opts.pairs) == (Path("old"), Path("new"), "cli-default", 10)
+    assert (opts.seed, opts.label, opts.same) == (1, "cli-default", False)
+    opts = ab_bench.parse(["old", "--same", "--workload", "reseed-480", "--pairs", "4", "--seed", "7"], WORKLOADS)
+    assert (opts.new, opts.seed, opts.label) == (None, 7, "reseed-480-same")
+    opts = ab_bench.parse(["old", "new", "--workload", "spectral-2880", "--pairs", "2", "--label", "x.1"], WORKLOADS)
+    assert opts.label == "x.1"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "old --workload cli-default --pairs 10",  # no NEW_SRC and no --same
+        "old new --same --workload cli-default --pairs 10",
+        "old new --workload cli-default --pairs 1",
+        "old new --workload nowhere --pairs 10",
+        "old new --pairs 10",
+        "old new --workload cli-default --pairs 10 --label ../up",
+    ],
+)
+def test_ab_bench_rejects_a_bad_command_line(ab_bench, flags):
+    with pytest.raises(SystemExit):
+        ab_bench.parse(flags.split(), WORKLOADS)
+
+
+def test_ab_bench_runs_the_old_tree_first_in_the_first_half_of_the_pairs(ab_bench):
+    assert [ab_bench.first_side(i, 4) for i in range(4)] == ["old", "old", "new", "new"]
+    assert [ab_bench.first_side(i, 5) for i in range(5)] == ["old", "old", "old", "new", "new"]
+
+
+def test_ab_bench_verdict_needs_a_shift_beyond_the_old_quartiles(ab_bench):
+    old = [1.0, 1.1, 1.2, 1.3, 1.4]  # quartiles 1.05 and 1.35
+    lower = ab_bench.compare(old, [0.5, 0.6, 0.7, 0.8, 0.9], "lower")
+    assert lower["verdict"] == "lower" and lower["new_wins"] == 5
+    assert lower["old_quartiles"] == pytest.approx([1.05, 1.35])
+    assert ab_bench.compare(old, [1.1, 1.0, 1.3, 1.2, 1.4], "lower")["verdict"] == "unresolved"
+    higher = ab_bench.compare(old, [1.6, 1.7, 1.8, 1.9, 2.0], "higher")
+    assert higher["verdict"] == "higher" and higher["new_wins"] == 5  # purity: higher wins
+    assert ab_bench.compare([1.0] * 4, [1.0] * 4, "higher")["new_wins"] == 0  # ties count for neither

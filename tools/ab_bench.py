@@ -1,0 +1,216 @@
+"""Paired runs of two passby source trees on one benchmark workload, written to BENCH_<label>.json.
+
+    python3 tools/ab_bench.py OLD_SRC NEW_SRC --workload W --pairs N [--seed S] [--label L]
+    python3 tools/ab_bench.py OLD_SRC --same --workload W --pairs N [--seed S] [--label L]
+
+Each pair runs `python -m passby.cli` once from each tree, on the same
+inputs: the first half of the pairs run OLD_SRC first (ABAB...), the rest
+NEW_SRC first (...BABA), so a drift in machine speed falls on both sides.
+Each invocation is spawned, reaped and gated as bench/run.py does
+(bench/measure.py): `run_s`, `cpu_s` and `peak_rss_mb` come from the
+child's os.wait4, `setup_s` from a fresh interpreter that imports
+passby.cli just before it, and `purity` is the lowest one in its
+report.json.  W's inputs are generated once, with OLD_SRC, in a child
+process, so this process never loads numpy and its own RSS never reaches
+a child's `ru_maxrss`.  --same runs OLD_SRC against a copy of itself: the
+A/A set that shows each metric's noise.
+
+For each metric the file holds both medians, the quartiles of OLD_SRC's
+runs, the pairs NEW_SRC won (ties count for neither side) and a verdict:
+"lower" or "higher" when the medians differ by more than OLD_SRC's
+interquartile range, else "unresolved".  It also holds every invocation
+and each tree's numpy, scipy and BLAS thread counts, read in a child
+started as the timed ones are.  Pairs with a failed invocation are left
+out of the metrics; the exit code is 1 when any invocation failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import platform
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# name: (unit, better); the end-to-end metrics of BENCHMARK.json
+METRICS = {
+    "run_s": ("s", "lower"),
+    "setup_s": ("s", "lower"),
+    "cpu_s": ("s", "lower"),
+    "peak_rss_mb": ("MB", "lower"),
+    "purity": ("ratio", "higher"),
+}
+# the versions and BLAS thread counts of a child that loads passby as the timed ones do
+TREE_PROBE = """
+import json, sys
+import passby.cli
+import numpy, scipy, scipy.linalg  # scipy.linalg loads scipy's own OpenBLAS
+try:
+    from passby.threads import _openblas
+    counts = sorted(get() for get, _ in _openblas().values())
+except ImportError:  # a tree older than passby.threads
+    counts = None
+print(json.dumps({"numpy": numpy.__version__, "scipy": scipy.__version__, "blas_threads": counts}))
+"""
+# generates (or finds cached) the workload's inputs: argv is bench/, the tree, workload, seed, root
+PREPARE = """
+import sys
+from pathlib import Path
+sys.path[:0] = sys.argv[1:3]
+from workloads import WORKLOADS, prepare
+prepare(WORKLOADS[sys.argv[3]], int(sys.argv[4]), Path(sys.argv[5]))
+"""
+
+
+def parse(argv: list[str], workloads: list[str]) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old", type=Path)
+    p.add_argument("new", type=Path, nargs="?")
+    p.add_argument("--workload", required=True, choices=workloads)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--label", help="BENCH_<label>.json; default: the workload, with -same under --same")
+    p.add_argument("--same", action="store_true", help="run OLD_SRC against a copy of itself")
+    p.add_argument("--root", type=Path, default=ROOT / ".bench_out" / "ab_bench")
+    opts = p.parse_args(argv)
+    if (opts.new is None) != opts.same:
+        p.error("give NEW_SRC, or --same without it")
+    if opts.pairs < 2:
+        p.error("--pairs must be at least 2, so the quartiles exist")
+    opts.label = opts.label or opts.workload + ("-same" if opts.same else "")
+    if not re.fullmatch(r"[\w.-]+", opts.label):
+        p.error(f"--label may hold letters, digits, '.', '_' and '-' only, got {opts.label!r}")
+    return opts
+
+
+def first_side(pair: int, pairs: int) -> str:
+    """The side that runs first in pair `pair` (0-based) of `pairs`."""
+    return "old" if pair < (pairs + 1) // 2 else "new"
+
+
+def compare(old: list[float], new: list[float], better: str) -> dict:
+    """Medians, OLD's quartiles, NEW's wins over the pairs, and the verdict."""
+    q1, _, q3 = statistics.quantiles(old, n=4)
+    old_median, new_median = statistics.median(old), statistics.median(new)
+    wins = sum(b < a if better == "lower" else b > a for a, b in zip(old, new))
+    shift = new_median - old_median
+    verdict = "unresolved" if abs(shift) <= q3 - q1 else ("lower" if shift < 0 else "higher")
+    return {
+        "old_median": old_median,
+        "new_median": new_median,
+        "old_quartiles": [q1, q3],
+        "new_wins": wins,
+        "pairs": len(old),
+        "verdict": verdict,
+    }
+
+
+def _tree_name(src: Path) -> str:
+    """The tree's path inside this repository, else its last two path parts."""
+    src = src.resolve()
+    try:
+        return str(src.relative_to(ROOT))
+    except ValueError:
+        return str(Path(src.parent.name) / src.name)
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import measure
+    from workloads import WORKLOADS, prepare
+
+    opts = parse(sys.argv[1:], list(WORKLOADS))
+    workload = WORKLOADS[opts.workload]
+    trees = {"old": opts.old.resolve()}
+    if opts.same:
+        trees["new"] = opts.root / "same" / "src"
+        shutil.rmtree(trees["new"], ignore_errors=True)
+        shutil.copytree(trees["old"], trees["new"], ignore=shutil.ignore_patterns("__pycache__"))
+    else:
+        trees["new"] = opts.new.resolve()
+    bench = [str(ROOT / "bench"), str(trees["old"])]
+    subprocess.run([sys.executable, "-c", PREPARE, *bench, opts.workload, str(opts.seed), str(opts.root)], check=True)
+    inputs = prepare(workload, opts.seed, opts.root)  # cached by now: loads no passby here
+
+    about, side_inputs, reference = {}, {}, {}
+    for side, src in trees.items():
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = subprocess.run([sys.executable, "-c", TREE_PROBE], env=env, capture_output=True, text=True)
+        if probe.returncode != 0:
+            raise SystemExit(f"{side} tree {src} does not load: {probe.stderr.strip()}")
+        about[side] = {"src": _tree_name(src), **json.loads(probe.stdout)}
+        side_inputs[side] = dataclasses.replace(inputs, out_dir=inputs.out_dir / side)
+        side_inputs[side].out_dir.mkdir(parents=True, exist_ok=True)
+        reference[side] = None
+        measure.setup_sample(src, inputs.out_dir / "setup.log")  # untimed: warms the file cache
+
+    invocations = []
+    for pair in range(opts.pairs):
+        order = ["old", "new"] if first_side(pair, opts.pairs) == "old" else ["new", "old"]
+        for side in order:
+            setup_s = measure.setup_sample(trees[side], inputs.out_dir / "setup.log")
+            inv = measure.invoke(workload, side_inputs[side], opts.seed, trees[side], reference[side])
+            if reference[side] is None and not inv.problems:
+                reference[side] = measure.stable_outputs(side_inputs[side].out_dir)
+            invocations.append(
+                {
+                    "pair": pair,
+                    "side": side,
+                    "first": side == order[0],
+                    "run_s": inv.run_s,
+                    "setup_s": setup_s,
+                    "cpu_s": inv.cpu_s,
+                    "peak_rss_mb": inv.peak_rss_mb,
+                    "purity": min(inv.purity.values(), default=0.0),
+                    "exit_code": inv.exit_code,
+                    "problems": inv.problems,
+                }
+            )
+            print(f"pair {pair + 1}/{opts.pairs} {side}: run_s {inv.run_s:.3f}{' FAILED' if inv.problems else ''}")
+
+    by_pair = {(i["pair"], i["side"]): i for i in invocations}
+    clean = [p for p in range(opts.pairs) if not (by_pair[p, "old"]["problems"] or by_pair[p, "new"]["problems"])]
+    metrics = {}
+    if len(clean) >= 2:
+        for name, (unit, better) in METRICS.items():
+            old = [by_pair[p, "old"][name] for p in clean]
+            new = [by_pair[p, "new"][name] for p in clean]
+            metrics[name] = {"unit": unit, "better": better, **compare(old, new, better)}
+    failed = {side: sum(1 for i in invocations if i["side"] == side and i["problems"]) for side in trees}
+    record = {
+        "label": opts.label,
+        "workload": opts.workload,
+        "seed": opts.seed,
+        "pairs": opts.pairs,
+        "same": opts.same,
+        "environment": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        },
+        "trees": about,
+        "input_bytes": inputs.input_bytes,
+        "metrics": metrics,
+        "failed": failed,
+        "invocations": invocations,
+    }
+    path = ROOT / f"BENCH_{opts.label}.json"
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"{'metric':<12} {'old median':>11} {'new median':>11} {'old IQR':>19} {'wins':>6}  verdict")
+    for name, m in metrics.items():
+        q1, q3 = m["old_quartiles"]
+        wins = f"{m['new_wins']}/{m['pairs']}"
+        print(f"{name:<12} {m['old_median']:>11.4f} {m['new_median']:>11.4f} {q1:>9.4f}-{q3:<9.4f} {wins:>6}  {m['verdict']}")
+    print(f"failed: old {failed['old']}, new {failed['new']} of {opts.pairs} each; wrote {path.relative_to(ROOT)}")
+    return 1 if any(failed.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
