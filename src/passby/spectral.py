@@ -70,7 +70,7 @@ def _block_pairs(
 
         A = sparse.eye_array(m, format="csr") - L
         try:
-            # the import may have loaded scipy's own OpenBLAS, which the pin now holds too
+            # the import may have loaded scipy's own OpenBLAS after the outer pin began
             with threads.one_blas_thread():
                 mu, vecs = eigsh(A, k=p, which="LA", v0=1.0 + np.arange(m) / m)
         except ArpackError as exc:
@@ -95,6 +95,10 @@ def eigendecompose(lap: Laplacian, p: int) -> SpectralEmbedding:
     within it).  Each eigenvector is flipped so its largest-magnitude entry
     is positive (first such entry on ties).  Residuals ||L v - t v|| above
     1e-8 fail.
+
+    The solves run with BLAS held at one thread where `threads.one_blas_thread`
+    can hold it (OpenBLAS, on Linux), so the pairs do not depend on the
+    caller's BLAS threads.
     """
     L = lap.matrix
     n = lap.graph.n_vertices
@@ -104,7 +108,8 @@ def eigendecompose(lap: Laplacian, p: int) -> SpectralEmbedding:
     sizes = np.bincount(component)
     # vertices of each component, ascending; components ordered by smallest vertex
     members = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes)[:-1])
-    blocks = [_block_pairs(L[idx][:, idx], degrees[idx], p) for idx in members]
+    with threads.one_blas_thread():
+        blocks = [_block_pairs(L[idx][:, idx], degrees[idx], p) for idx in members]
     pairs = sorted(
         (value, c, i)
         for c, (vals, _) in enumerate(blocks)

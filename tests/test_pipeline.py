@@ -398,6 +398,24 @@ def test_exit_code_mapping():
     assert exit_code_for(wrapped) == EXIT_NUMERICAL
 
 
+def _readme_library_blocks() -> list[str]:
+    """The `python` blocks of the README's "Library use" section, as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["whole-run", "stages"])
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys, index):
+    blocks = _readme_library_blocks()
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[index], f"README.md (Library use, block {index + 1})", "exec"), {})
+    if index == 0:
+        assert (tmp_path / "demo" / "labels.csv").is_file()
+        assert 0.0 < float(capsys.readouterr().out) <= 1.0
+
+
 # -------------------------------------------------------------- failures
 
 
@@ -624,26 +642,46 @@ def test_interrupt_discards_artifacts_and_propagates(tmp_path, monkeypatch):
     assert not (out / "manifest.csv").exists()
 
 
-@pytest.mark.parametrize("fails", [False, True])
-def test_a_run_holds_blas_at_one_thread_and_restores_the_callers_count(tmp_path, monkeypatch, fails):
-    seen = []
+def _artifact_bytes(out: Path) -> dict[str, bytes]:
+    """Every file a run wrote, report.json without its timings."""
+    files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    report = json.loads(files["report.json"])
+    report.pop("timings")
+    files["report.json"] = json.dumps(report, sort_keys=True).encode()
+    return files
 
-    def graph_stage(*args, **kwargs):
-        seen.append(blas_threads())
-        if fails:
-            raise ZeroNormError("a window has zero norm")
-        return knn_graph(*args, **kwargs)
 
-    monkeypatch.setattr("passby.pipeline.knn_graph", graph_stage)
+def test_a_runs_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    # 912 windows: three ~304-window components, each solved by dense eigh,
+    # and two 512-row tile blocks, so one off-diagonal tile split among workers
+    import scipy.linalg  # noqa: F401 - scipy's own OpenBLAS, so the caller's count covers it too
+
+    audio, spans = gen_vehicle_audio(default_vehicle_bank(), passages=(0, 1, 2) * 19, rng_seed=1)
+    write_wav(audio, tmp_path / "passes.wav", "pcm16")
+    entries = [ManifestEntry("passes.wav", s.label, s.start_s, s.end_s - s.start_s) for s in spans]
+    write_manifest(entries, tmp_path / "m.csv")
+    out = tmp_path / "out"
+    cfg = PipelineConfig(out_dir=str(out), manifest=str(tmp_path / "m.csv"), method="spectral", k=3)
+    written = {}
+    for count in (2, 1):
+        with caller_blas_threads(count):
+            report = run_pipeline(cfg)
+            assert blas_threads() == [count] * len(blas_threads())
+        assert report["n_windows"] == 912
+        written[count] = _artifact_bytes(out)
+        shutil.rmtree(out)
+    assert written[1] == written[2]
+
+
+def test_a_run_that_fails_in_the_tile_pin_restores_the_callers_blas_threads(tmp_path, monkeypatch):
+    def fail(products):
+        raise ZeroNormError("a window has zero norm")
+
+    monkeypatch.setattr("passby.graph._to_distances", fail)
     with caller_blas_threads(2):
-        cfg = PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3)
-        if fails:
-            with pytest.raises(StageError):
-                run_pipeline(cfg)
-        else:
-            run_pipeline(cfg)
-        assert seen == [[1] * len(seen[0])]
-        assert blas_threads() == [2] * len(seen[0])
+        with pytest.raises(StageError):
+            run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3))
+        assert blas_threads() == [2] * len(blas_threads())
 
 
 def test_cli_child_runs_every_openblas_it_loads_on_one_thread(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse.linalg
 from scipy import sparse
 
-from _helpers import as_sets
+from _helpers import as_sets, caller_blas_threads
 from passby.graph import SimilarityGraph, knn_graph, laplacian
 from passby.spectral import (
     KMEANS_TOL,
@@ -302,6 +302,21 @@ def test_eigendecompose_lanczos_is_deterministic(eigsh_calls):
     assert eigsh_calls == [600, 600]
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+
+@pytest.mark.parametrize(("n", "lanczos"), [(300, []), (400, [400])], ids=["dense", "lanczos"])
+def test_eigendecompose_bytes_do_not_depend_on_the_callers_blas_threads(eigsh_calls, n, lanczos):
+    # one component: below 16p = 320 vertices dense eigh solves it, from there Lanczos
+    X = np.abs(np.random.default_rng(0).standard_normal((n, 400))) + 0.1
+    lap = laplacian(knn_graph(X, 15))
+    assert np.unique(lap.graph.component).tolist() == [0]
+    solved = {}
+    for count in (2, 1):
+        with caller_blas_threads(count):
+            emb = eigendecompose(lap, 20)
+        solved[count] = (emb.eigenvalues.tobytes(), emb.eigenvectors.tobytes())
+    assert eigsh_calls == lanczos * 2
+    assert solved[1] == solved[2]
 
 
 def test_eigendecompose_p_out_of_range():

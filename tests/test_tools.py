@@ -1,9 +1,10 @@
-"""The command lines of the scripts under tools/, parsed without running them."""
+"""The scripts under tools/: their command lines and summaries, checked without running them."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -102,3 +103,20 @@ def test_ab_bench_verdict_needs_a_shift_beyond_the_old_quartiles(ab_bench):
     higher = ab_bench.compare(old, [1.6, 1.7, 1.8, 1.9, 2.0], "higher")
     assert higher["verdict"] == "higher" and higher["new_wins"] == 5  # purity: higher wins
     assert ab_bench.compare([1.0] * 4, [1.0] * 4, "higher")["new_wins"] == 0  # ties count for neither
+
+
+def test_ab_bench_side_takes_medians_of_its_passing_invocations_and_its_lowest_purity(ab_bench):
+    def run(run_s, purity, problems=()):
+        return SimpleNamespace(
+            run_s=run_s, cpu_s=2 * run_s, peak_rss_mb=100 + run_s, purity=purity, problems=list(problems)
+        )
+
+    runs = [
+        run(1.0, {"spectral": 1.0}),
+        run(9.0, {"spectral": 0.1}, ["exit code 1"]),  # left out
+        run(3.0, {"spectral": 0.97, "incres": 0.99}),
+        run(2.0, {"spectral": 1.0}),
+    ]
+    values = ab_bench.side_metrics(runs, [0.5, 0.4, 0.9])
+    assert values == {"run_s": 2.0, "setup_s": 0.5, "cpu_s": 4.0, "peak_rss_mb": 102.0, "purity": 0.97}
+    assert ab_bench.side_metrics([runs[1]], [0.5])["run_s"] == 9.0  # none passed: every invocation

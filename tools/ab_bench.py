@@ -3,25 +3,30 @@
     python3 tools/ab_bench.py OLD_SRC NEW_SRC --workload W --pairs N [--seed S] [--label L]
     python3 tools/ab_bench.py OLD_SRC --same --workload W --pairs N [--seed S] [--label L]
 
-Each pair runs `python -m passby.cli` once from each tree, on the same
-inputs: the first half of the pairs run OLD_SRC first (ABAB...), the rest
-NEW_SRC first (...BABA), so a drift in machine speed falls on both sides.
-Each invocation is spawned, reaped and gated as bench/run.py does
-(bench/measure.py): `run_s`, `cpu_s` and `peak_rss_mb` come from the
-child's os.wait4, `setup_s` from a fresh interpreter that imports
-passby.cli just before it, and `purity` is the lowest one in its
-report.json.  W's inputs are generated once, with OLD_SRC, in a child
+Each pair times both trees on the same inputs, one side after the other:
+the first half of the pairs run OLD_SRC first (ABAB...), the rest NEW_SRC
+first (...BABA), so a drift in machine speed falls on both sides.  A side
+is one closed loop of bench/measure.py, as bench/run.py runs it: passby
+invocations for BENCHMARK.json's `run_seconds`, at least three of them,
+each after three fresh interpreters time `import passby.cli`.  A side's
+`run_s`, `cpu_s` and `peak_rss_mb` are the medians over its passing
+invocations (from each child's os.wait4), `setup_s` the median of its
+set-up samples, and `purity` the lowest one in their report.json files.
+Each loop checks that its invocations write the same labels.csv and
+report.json minus timings, and each side's later loops must write what
+its first did.  W's inputs are generated once, with OLD_SRC, in a child
 process, so this process never loads numpy and its own RSS never reaches
 a child's `ru_maxrss`.  --same runs OLD_SRC against a copy of itself: the
 A/A set that shows each metric's noise.
 
-For each metric the file holds both medians, the quartiles of OLD_SRC's
-runs, the pairs NEW_SRC won (ties count for neither side) and a verdict:
-"lower" or "higher" when the medians differ by more than OLD_SRC's
-interquartile range, else "unresolved".  It also holds every invocation
-and each tree's numpy, scipy and BLAS thread counts, read in a child
-started as the timed ones are.  Pairs with a failed invocation are left
-out of the metrics; the exit code is 1 when any invocation failed.
+For each metric the file holds both medians over the pairs, the quartiles
+of OLD_SRC's pairs, the pairs NEW_SRC won (ties count for neither side)
+and a verdict: "lower" or "higher" when the medians differ by more than
+OLD_SRC's interquartile range, else "unresolved".  It also holds every
+invocation and each tree's numpy, scipy and BLAS thread counts, read in a
+child started as the timed ones are.  Pairs with a failed invocation, or
+with outputs that differ from the side's first loop, are left out of the
+metrics; the exit code is 1 when there is any.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# a side's loop, as bench/run.py runs one; its imports would load numpy here
+MIN_INVOCATIONS = 3
+SETUP_PER_INVOCATION = 3
 # name: (unit, better); the end-to-end metrics of BENCHMARK.json
 METRICS = {
     "run_s": ("s", "lower"),
@@ -112,6 +120,18 @@ def compare(old: list[float], new: list[float], better: str) -> dict:
     }
 
 
+def side_metrics(runs: list, setup: list[float]) -> dict:
+    """A side's metrics: medians over its passing invocations (all, if none passed) and set-up samples, and its lowest purity."""
+    ok = [r for r in runs if not r.problems] or runs
+    return {
+        "run_s": statistics.median(r.run_s for r in ok),
+        "setup_s": statistics.median(setup),
+        "cpu_s": statistics.median(r.cpu_s for r in ok),
+        "peak_rss_mb": statistics.median(r.peak_rss_mb for r in ok),
+        "purity": min(min(r.purity.values(), default=0.0) for r in ok),
+    }
+
+
 def _tree_name(src: Path) -> str:
     """The tree's path inside this repository, else its last two path parts."""
     src = src.resolve()
@@ -139,7 +159,8 @@ def main() -> int:
     subprocess.run([sys.executable, "-c", PREPARE, *bench, opts.workload, str(opts.seed), str(opts.root)], check=True)
     inputs = prepare(workload, opts.seed, opts.root)  # cached by now: loads no passby here
 
-    about, side_inputs, reference = {}, {}, {}
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    about, side_inputs, first_outputs = {}, {}, {}
     for side, src in trees.items():
         env = {**os.environ, "PYTHONPATH": str(src)}
         probe = subprocess.run([sys.executable, "-c", TREE_PROBE], env=env, capture_output=True, text=True)
@@ -148,34 +169,35 @@ def main() -> int:
         about[side] = {"src": _tree_name(src), **json.loads(probe.stdout)}
         side_inputs[side] = dataclasses.replace(inputs, out_dir=inputs.out_dir / side)
         side_inputs[side].out_dir.mkdir(parents=True, exist_ok=True)
-        reference[side] = None
-        measure.setup_sample(src, inputs.out_dir / "setup.log")  # untimed: warms the file cache
 
-    invocations = []
+    sides = []
     for pair in range(opts.pairs):
         order = ["old", "new"] if first_side(pair, opts.pairs) == "old" else ["new", "old"]
         for side in order:
-            setup_s = measure.setup_sample(trees[side], inputs.out_dir / "setup.log")
-            inv = measure.invoke(workload, side_inputs[side], opts.seed, trees[side], reference[side])
-            if reference[side] is None and not inv.problems:
-                reference[side] = measure.stable_outputs(side_inputs[side].out_dir)
-            invocations.append(
+            runs, setup = measure.invoke_loop(
+                workload, side_inputs[side], opts.seed, trees[side], seconds, MIN_INVOCATIONS, SETUP_PER_INVOCATION
+            )
+            problems = [p for r in runs for p in r.problems]
+            if not runs[-1].problems:
+                outputs = measure.stable_outputs(side_inputs[side].out_dir)
+                if first_outputs.setdefault(side, outputs) != outputs:
+                    problems.append("labels.csv or report.json minus timings differs from the side's first loop")
+            values = side_metrics(runs, setup)
+            sides.append(
                 {
                     "pair": pair,
                     "side": side,
                     "first": side == order[0],
-                    "run_s": inv.run_s,
-                    "setup_s": setup_s,
-                    "cpu_s": inv.cpu_s,
-                    "peak_rss_mb": inv.peak_rss_mb,
-                    "purity": min(inv.purity.values(), default=0.0),
-                    "exit_code": inv.exit_code,
-                    "problems": inv.problems,
+                    **values,
+                    "problems": problems,
+                    "setup_samples": setup,
+                    "invocations": [vars(r) for r in runs],
                 }
             )
-            print(f"pair {pair + 1}/{opts.pairs} {side}: run_s {inv.run_s:.3f}{' FAILED' if inv.problems else ''}")
+            failed = " FAILED" if problems else ""
+            print(f"pair {pair + 1}/{opts.pairs} {side}: run_s median {values['run_s']:.3f} of {len(runs)}{failed}")
 
-    by_pair = {(i["pair"], i["side"]): i for i in invocations}
+    by_pair = {(s["pair"], s["side"]): s for s in sides}
     clean = [p for p in range(opts.pairs) if not (by_pair[p, "old"]["problems"] or by_pair[p, "new"]["problems"])]
     metrics = {}
     if len(clean) >= 2:
@@ -183,12 +205,13 @@ def main() -> int:
             old = [by_pair[p, "old"][name] for p in clean]
             new = [by_pair[p, "new"][name] for p in clean]
             metrics[name] = {"unit": unit, "better": better, **compare(old, new, better)}
-    failed = {side: sum(1 for i in invocations if i["side"] == side and i["problems"]) for side in trees}
+    failed = {side: sum(1 for s in sides if s["side"] == side and s["problems"]) for side in trees}
     record = {
         "label": opts.label,
         "workload": opts.workload,
         "seed": opts.seed,
         "pairs": opts.pairs,
+        "run_seconds": seconds,
         "same": opts.same,
         "environment": {
             "python": platform.python_version(),
@@ -199,7 +222,7 @@ def main() -> int:
         "input_bytes": inputs.input_bytes,
         "metrics": metrics,
         "failed": failed,
-        "invocations": invocations,
+        "sides": sides,
     }
     path = ROOT / f"BENCH_{opts.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
