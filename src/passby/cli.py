@@ -9,7 +9,12 @@ import sys
 from pathlib import Path
 from typing import Any
 
-# before numpy loads OpenBLAS: a run uses one BLAS thread, and the others would only spin
+# Before numpy loads OpenBLAS; a run uses one BLAS thread.  It stays set for
+# what the importer starts later: setting it in `main` instead would load numpy
+# at the default count (`import numpy` took 0.12-0.17 s, against 0.06-0.10 s at
+# one thread, 2 CPUs), and restoring the importer's value after the imports would
+# start scipy's OpenBLAS, loaded mid-run by the lazy `scipy.sparse.linalg`
+# import, with one thread per CPU.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .pipeline import METHODS, ConfigError, PipelineConfig, exit_code_for, run_pipeline

@@ -15,7 +15,6 @@ from . import threads
 
 SCALE_FLOOR = 1e-12
 BLOCK_ROWS = 512  # rows and columns per tile of the distance pass
-MIN_SLICE_ROWS = 64  # rows per worker's gemm call, at least: thinner calls cost more than they share
 NORM_ROWS = 32  # rows per row-norm call, so its squares are a small block, not an n x m array
 
 
@@ -46,13 +45,13 @@ def pairwise_cosine_distances(
     array is divided in place, the same division, instead of into a copy:
     the caller's matrix then holds the unit rows.
 
-    Tiles are made one at a time, with BLAS held at one thread where
-    `threads.one_blas_thread` finds the OpenBLAS (on Linux).  There an
-    off-diagonal tile is split by rows among a pool of one worker per CPU;
-    the slices hold the bits of the whole product, so the tiles depend on
-    neither the CPU count nor the caller's BLAS threads.  Elsewhere each
-    tile is one product, on BLAS's threads as the caller set them.  The pool
-    and the pin end with the iterator: when it is exhausted or closed.
+    Tiles are made one at a time, a diagonal one as one product and an
+    off-diagonal one as two, one per half of its rows, on every host.  Where
+    `threads.one_blas_thread` holds the OpenBLAS (on Linux), the halves run
+    at once, each on one BLAS thread, so the tiles depend on neither the CPU
+    count nor the caller's BLAS threads; elsewhere they run one after the
+    other, on BLAS's threads as the caller set them.  The pool and the pin
+    end with the iterator: when it is exhausted or closed.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -78,9 +77,8 @@ def pairwise_cosine_distances(
             unit = X / norms[:, None]
         starts = range(0, unit.shape[0], BLOCK_ROWS)
         with threads.one_blas_thread() as pinned:
-            # row slices hold the bits of the whole product only when BLAS runs on one thread
-            workers = threads.available_cpus() if pinned else 1
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            # unpinned, each half may already run on many BLAS threads
+            with ThreadPoolExecutor(max_workers=2 if pinned else 1) as pool:
                 for row0, col0 in [(r, r) for r in starts] + [(r, c) for r in starts for c in starts if c > r]:
                     rows = unit[row0 : row0 + BLOCK_ROWS]
                     cols = unit[col0 : col0 + BLOCK_ROWS]
@@ -91,13 +89,14 @@ def pairwise_cosine_distances(
                         _to_distances(d)
                         np.fill_diagonal(d, 0.0)
                     else:
+                        # gemm's bits follow its row count: the same two halves on every host
                         d = np.empty((rows.shape[0], cols.shape[0]))
 
                         def fill(a: int, b: int) -> None:
                             _to_distances(np.matmul(rows[a:b], cols.T, out=d[a:b]))
 
-                        cuts = _row_cuts(rows.shape[0], workers)
-                        list(pool.map(fill, cuts[:-1], cuts[1:]))
+                        half = BLOCK_ROWS // 2
+                        list(pool.map(fill, (0, half), (half, BLOCK_ROWS)))
                     yield row0, col0, d
 
     return tiles()
@@ -107,12 +106,6 @@ def _to_distances(products: npt.NDArray[np.float64]) -> None:
     """`1 - products`, clipped to [0, 2], in place."""
     np.subtract(1.0, products, out=products)
     np.clip(products, 0.0, 2.0, out=products)
-
-
-def _row_cuts(rows: int, workers: int) -> list[int]:
-    """Bounds of at most `workers` near-equal row slices, each of at least `MIN_SLICE_ROWS` rows."""
-    slices = max(1, min(workers, rows // MIN_SLICE_ROWS))
-    return [rows * i // slices for i in range(slices + 1)]
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,8 @@ def knn_graph(
 
     Distances are cosine.  Edge (i, j) exists iff j is among i's `neighbors`
     nearest or i among j's.  Only the upper-triangle tiles of the distance
-    matrix are formed, one at a time, so each distance is computed once and
+    matrix are formed, one at a time and split alike at any CPU count, so
+    each distance is computed once, with the same bits on every host, and
     no n x n array, nor any block of whole rows, is ever held.
 
     The rows are normalized into a copy, so `features` is left as it was.

@@ -1,4 +1,4 @@
-"""The threads a run uses: passby's pools take one worker per CPU, and BLAS runs on one thread.
+"""The threads a run uses: synthesis takes one worker per CPU, the distance tiles two, BLAS one.
 
 OpenBLAS starts a thread per CPU and splits each product among them, so its
 bits follow the thread count.  `one_blas_thread` holds every OpenBLAS the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 import tracemalloc
@@ -368,13 +369,19 @@ def _weight_bytes(g):
     return W.indptr.tobytes(), W.indices.tobytes(), W.data.tobytes(), g.scales.tobytes()
 
 
+def _tile_digests(X):
+    return [(row0, col0, hashlib.sha256(d).hexdigest()) for row0, col0, d in pairwise_cosine_distances(X)]
+
+
 def test_knn_graph_bytes_do_not_depend_on_the_worker_count(monkeypatch):
-    X = _three_tile_features()
-    built = {}
-    for cpus in (1, 2, 5, 64):  # one worker, a few, and more than any tile has slices
-        monkeypatch.setattr(threads, "available_cpus", lambda: cpus)
-        built[cpus] = _weight_bytes(knn_graph(X, neighbors=15))
-    assert built[1] == built[2] == built[5] == built[64]
+    # 1500 rows: tiles (0, 1024) and (512, 1024) hold 476 columns, where one
+    # gemm call of 512 rows and two of 256 differ in their last bits
+    for X in (_three_tile_features(), _random_features(np.random.default_rng(12), 1500, 400)):
+        built = {}
+        for cpus in (1, 2, 5, 64):  # one CPU, a few, and more than a tile has rows for
+            monkeypatch.setattr(threads, "available_cpus", lambda: cpus)
+            built[cpus] = _tile_digests(X), _weight_bytes(knn_graph(X, neighbors=15))
+        assert built[1] == built[2] == built[5] == built[64]
 
 
 def test_knn_graph_bytes_do_not_depend_on_the_callers_blas_threads():
@@ -384,14 +391,6 @@ def test_knn_graph_bytes_do_not_depend_on_the_callers_blas_threads():
         with caller_blas_threads(count):
             built[count] = _weight_bytes(knn_graph(X, neighbors=15))
     assert built[1] == built[2]
-
-
-def test_tile_rows_split_into_at_most_one_slice_per_worker_of_64_rows_or_more():
-    assert graph_module._row_cuts(512, 64) == list(range(0, 513, 64))  # not 64 slices of 8 rows
-    assert graph_module._row_cuts(512, 5) == [0, 102, 204, 307, 409, 512]
-    assert graph_module._row_cuts(449, 64) == [0, 64, 128, 192, 256, 320, 384, 449]
-    assert graph_module._row_cuts(127, 64) == [0, 127]
-    assert graph_module._row_cuts(512, 1) == [0, 512]
 
 
 def test_knn_graph_leaves_no_pool_thread_running(monkeypatch):
@@ -409,15 +408,21 @@ def test_knn_graph_leaves_no_pool_thread_running(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_tiles_are_not_split_where_no_openblas_is_held(monkeypatch):
-    # elsewhere BLAS may run many threads, and so may each worker's product
-    monkeypatch.setattr(threads, "available_cpus", lambda: 4)
+def test_tile_halves_run_one_after_the_other_where_no_openblas_is_held(monkeypatch):
+    # elsewhere BLAS may run many threads, and so may each half's product
     monkeypatch.setattr(threads, "_openblas", lambda: {})
-    workers = []
-    row_cuts = graph_module._row_cuts
-    monkeypatch.setattr(graph_module, "_row_cuts", lambda rows, w: workers.append(w) or row_cuts(rows, w))
+    products = []
+    to_distances = graph_module._to_distances
+
+    def spy(d):
+        products.append((threading.get_ident(), d.shape[0]))
+        to_distances(d)
+
+    monkeypatch.setattr(graph_module, "_to_distances", spy)
     knn_graph(_three_tile_features(), neighbors=15)
-    assert workers == [1, 1, 1]  # one call per off-diagonal tile
+    halves = products[3:]  # after the three diagonal tiles
+    assert [rows for _, rows in halves] == [256] * 6  # two per off-diagonal tile
+    assert len({thread for thread, _ in halves}) == 1  # one worker, so never two at once
 
 
 def test_knn_tiles_must_cover_the_upper_triangle_once():

@@ -653,7 +653,7 @@ def _artifact_bytes(out: Path) -> dict[str, bytes]:
 
 def test_a_runs_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path):
     # 912 windows: three ~304-window components, each solved by dense eigh,
-    # and two 512-row tile blocks, so one off-diagonal tile split among workers
+    # and two 512-row tile blocks, so one off-diagonal tile, made in two halves
     import scipy.linalg  # noqa: F401 - scipy's own OpenBLAS, so the caller's count covers it too
 
     audio, spans = gen_vehicle_audio(default_vehicle_bank(), passages=(0, 1, 2) * 19, rng_seed=1)
@@ -706,6 +706,34 @@ def test_cli_child_runs_every_openblas_it_loads_on_one_thread(tmp_path):
     if not counts:
         pytest.skip("no OpenBLAS is loaded")
     assert counts == [1] * len(counts)
+
+
+def test_cli_import_holds_the_openblas_a_run_loads_midway_at_one_thread(tmp_path):
+    # two 336-window components, so the spectrum stage imports scipy.sparse.linalg
+    # for Lanczos, and scipy's own OpenBLAS loads then and reads the variable
+    audio, spans = gen_vehicle_audio(default_vehicle_bank(), passages=(0, 1) * 21, rng_seed=1)
+    write_wav(audio, tmp_path / "passes.wav", "pcm16")
+    entries = [ManifestEntry("passes.wav", s.label, s.start_s, s.end_s - s.start_s) for s in spans]
+    write_manifest(entries, tmp_path / "m.csv")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    probe = (
+        "import sys\n"
+        "from passby.cli import main\n"
+        f"argv = ['--manifest', {str(tmp_path / 'm.csv')!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+        "assert main([*argv, '--method', 'spectral', '--k', '2']) == 0\n"
+        "assert 'scipy.sparse.linalg' in sys.modules\n"
+        "from passby import threads\n"
+        "print([get() for get, _ in threads._openblas().values()])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    counts = json.loads(out.stdout.strip().splitlines()[-1])
+    if not counts:
+        pytest.skip("no OpenBLAS is loaded")
+    assert counts == [1, 1]  # numpy's copy and scipy's
 
 
 def test_cli_child_freezes_its_imports(tmp_path):
