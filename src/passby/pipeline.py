@@ -298,6 +298,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
             raise ConfigError(f"manifest {cfg.manifest} {problem}")
 
     with stages.stage("input"):
+        synthetic = None
         if cfg.manifest is not None:
             entries, base_dir = read_manifest(cfg.manifest), Path(cfg.manifest).parent
         else:
@@ -307,7 +308,6 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
             # float32, the file's encoding: the samples are held once and written as they are
             synthetic, synthetic_spans = gen_vehicle_audio(bank, rng_seed=cfg.seed, dtype=np.float32)
             write_wav(synthetic, stages.track(out / "synthetic.wav"), encoding="float32")
-            del synthetic  # ingest reads it back from the file
             entries = [
                 ManifestEntry(
                     path="synthetic.wav",
@@ -321,7 +321,9 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
             base_dir = out
 
     with stages.stage("ingest"):
-        recording, spans = assemble_composite(entries, base_dir=base_dir)
+        # the demo's crops are views of the samples it wrote, not read back from the file
+        recording, spans = assemble_composite(entries, base_dir=base_dir, held=synthetic)
+        del synthetic  # the crops hold the last references
         check_input(recording.n_samples)
 
     with stages.stage("features"):

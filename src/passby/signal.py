@@ -12,7 +12,7 @@ import numpy.typing as npt
 from scipy.io import wavfile
 
 
-STFT_BLOCK_ROWS = 32  # windows transformed together in stft_features
+STFT_BLOCK_ROWS = 8  # windows transformed together in stft_features
 WAVEFORM_COLUMNS = 600  # time columns of the min/max envelope stft_features keeps
 TAPERS = ("box", "hamming")  # per-window tapers; "box" leaves the samples as they are
 # integer PCM formats and the full scale each divides by; uint8 is offset by it
@@ -65,6 +65,8 @@ class AudioSignal:
 class Recording:
     """A manifest's crops in order, each still in its file's own sample format.
 
+    A crop is a copy of its file's samples, or a view of the samples that
+    `assemble_composite` was handed as `held`, which it then keeps alive.
     The recording is their concatenation once `_to_float` decodes them;
     `stft_features` decodes them a block of windows at a time, so the whole
     recording is never held as float64.
@@ -210,6 +212,12 @@ def _read_wav(path: str | Path) -> tuple[int, np.ndarray]:
         raise UnsupportedEncodingError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise AudioIOError(f"cannot read {path}: {exc}") from exc
+    _check_samples(path, rate, data)
+    return int(rate), data
+
+
+def _check_samples(path: str | Path, rate: int, data: np.ndarray) -> None:
+    """Reject a file's samples, or the samples held for it, that cannot become audio."""
     if rate <= 0:
         raise UnsupportedEncodingError(f"{path}: sample rate {rate} Hz is not positive")
     if data.size == 0:
@@ -221,7 +229,6 @@ def _read_wav(path: str | Path) -> tuple[int, np.ndarray]:
             raise AudioIOError(f"{path}: non-finite (NaN or inf) samples")
     elif data.dtype not in PCM_SCALES:
         raise UnsupportedEncodingError(f"{path}: sample format {data.dtype} not supported")
-    return int(rate), data
 
 
 def _to_float(raw: np.ndarray, out: np.ndarray) -> None:
@@ -297,7 +304,10 @@ def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
 
 
 def assemble_composite(
-    entries: list[ManifestEntry], base_dir: str | Path | None = None
+    entries: list[ManifestEntry],
+    base_dir: str | Path | None = None,
+    *,
+    held: AudioSignal | None = None,
 ) -> tuple[Recording, list[LabelSpan]]:
     """Cut the manifest's crops out of their files, plus their label spans.
 
@@ -306,10 +316,20 @@ def assemble_composite(
     for a run of entries that name it, and each crop is a copy in the file's
     own sample format, so the file's samples are freed before the next file
     is read.
+
+    `held` holds the samples of the one file that every entry names, as the
+    file holds them (float32, as `write_wav` writes them); the file is then
+    not read.  They pass the checks a file's samples pass, and each crop is
+    a view of them, so they are freed with the recording.  Entries that name
+    more than one file together with `held` are a ValueError.
     """
     if not entries:
         raise ManifestError("manifest lists no clips")
     base = Path(base_dir) if base_dir is not None else Path(".")
+    if held is not None and len({base / e.path for e in entries}) > 1:
+        raise ValueError("held samples stand for one file, but the entries name more than one")
+    # a file's crops are copies, so that its samples are freed; held ones are views
+    keep = np.copy if held is None else np.asarray
     crops: list[np.ndarray] = []
     spans: list[LabelSpan] = []
     rate: int | None = None
@@ -322,7 +342,11 @@ def assemble_composite(
             clip_path = base / clip_path
         if clip_path != raw_path:
             raw = None  # let the last file go before the next one is read
-            clip_rate, raw = _read_wav(clip_path)
+            if held is None:
+                clip_rate, raw = _read_wav(clip_path)
+            else:
+                _check_samples(clip_path, held.sample_rate, held.samples)
+                clip_rate, raw = held.sample_rate, held.samples
             raw_path = clip_path
         if rate is None:
             rate = clip_rate
@@ -336,7 +360,7 @@ def assemble_composite(
             raise ManifestError(
                 f"{e.path}: crop [{e.start_s}s, +{e.duration_s}s) falls outside the file"
             )
-        crops.append(raw[start : start + length].copy())
+        crops.append(keep(raw[start : start + length]))
         spans.append(LabelSpan(e.label, offset / rate, (offset + length) / rate))
         offset += length
     assert rate is not None

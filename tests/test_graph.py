@@ -7,6 +7,7 @@ import math
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -374,14 +375,26 @@ def _tile_digests(X):
 
 
 def test_knn_graph_bytes_do_not_depend_on_the_worker_count(monkeypatch):
-    # 1500 rows: tiles (0, 1024) and (512, 1024) hold 476 columns, where one
-    # gemm call of 512 rows and two of 256 differ in their last bits
+    # the tile pool at one worker, where the two halves of a tile run one
+    # after the other, and at two, where they run at once.  1500 rows: tiles
+    # (0, 1024) and (512, 1024) hold 476 columns, where one gemm call of 512
+    # rows and two of 256 differ in their last bits
+    pools = []
+
+    def pool_of(workers):
+        def make(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers=workers)
+
+        return make
+
     for X in (_three_tile_features(), _random_features(np.random.default_rng(12), 1500, 400)):
         built = {}
-        for cpus in (1, 2, 5, 64):  # one CPU, a few, and more than a tile has rows for
-            monkeypatch.setattr(threads, "available_cpus", lambda: cpus)
-            built[cpus] = _tile_digests(X), _weight_bytes(knn_graph(X, neighbors=15))
-        assert built[1] == built[2] == built[5] == built[64]
+        for workers in (1, 2):
+            monkeypatch.setattr(graph_module, "ThreadPoolExecutor", pool_of(workers))
+            built[workers] = _tile_digests(X), _weight_bytes(knn_graph(X, neighbors=15))
+        assert built[1] == built[2]
+    assert len(pools) == 8  # each build made its pool through the patch
 
 
 def test_knn_graph_bytes_do_not_depend_on_the_callers_blas_threads():
@@ -393,8 +406,7 @@ def test_knn_graph_bytes_do_not_depend_on_the_callers_blas_threads():
     assert built[1] == built[2]
 
 
-def test_knn_graph_leaves_no_pool_thread_running(monkeypatch):
-    monkeypatch.setattr(threads, "available_cpus", lambda: 4)
+def test_knn_graph_leaves_no_pool_thread_running():
     X = _three_tile_features()
     before = threading.active_count()
     knn_graph(X, neighbors=15)

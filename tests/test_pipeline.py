@@ -556,6 +556,7 @@ def test_composite_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):
     def tracked_assemble(*args, **kwargs):
         recording, spans = assemble(*args, **kwargs)
         crops.extend(weakref.ref(crop) for crop in recording.crops)
+        crops.append(weakref.ref(kwargs["held"].samples))  # the synthetic samples the crops view
         return recording, spans
 
     def checked_build(*args, **kwargs):
@@ -567,6 +568,24 @@ def test_composite_is_freed_before_the_graph_is_built(tmp_path, monkeypatch):
     report = run_pipeline(PipelineConfig(out_dir=str(tmp_path / "out"), method="spectral", k=3))
     assert report["duration_s"] == 18.0
     assert (tmp_path / "out" / "plots" / "waveform.svg").is_file()
+
+
+def test_default_run_reads_no_audio_back(tmp_path, monkeypatch, default_run):
+    # the demo's crops come from the samples it synthesized, not from synthetic.wav
+    import passby.signal
+
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(passby.signal, "_read_wav", no_read)
+    report, out = default_run
+    unread = tmp_path / "out"
+    got = run_pipeline(PipelineConfig(out_dir=str(unread)))
+    got["parameters"]["out_dir"] = report["parameters"]["out_dir"]
+    assert got == report
+    files, expected = _artifact_bytes(unread), _artifact_bytes(out)
+    del files["report.json"], expected["report.json"]  # its out_dir differs; compared above
+    assert files == expected
 
 
 def test_feature_matrix_is_freed_once_the_graph_is_built(tmp_path, monkeypatch):

@@ -442,6 +442,55 @@ def test_composite_reads_a_shared_file_once_per_run(tmp_path, monkeypatch):
     assert np.array_equal(_samples(composite), np.concatenate(expected))
 
 
+def _read_nothing(path):
+    raise AssertionError(f"{path} was read")
+
+
+def test_composite_of_held_samples_is_views_equal_to_the_files_crops(tmp_path, monkeypatch):
+    rate = 8000
+    sig = AudioSignal(np.random.default_rng(5).uniform(-0.5, 0.5, size=rate).astype(np.float32), rate)
+    write_wav(sig, tmp_path / "a.wav")
+    crops = [(0.0, 0.25), (0.5, 0.25), (0.125, 0.5)]
+    entries = [ManifestEntry("a.wav", f"c{i}", start, length) for i, (start, length) in enumerate(crops)]
+    from_file, file_spans = assemble_composite(entries, base_dir=tmp_path)
+    monkeypatch.setattr(signal_module, "_read_wav", _read_nothing)
+    held, held_spans = assemble_composite(entries, base_dir=tmp_path, held=sig)
+    assert held_spans == file_spans
+    assert held.sample_rate == from_file.sample_rate == rate
+    for got, read in zip(held.crops, from_file.crops, strict=True):
+        assert got.dtype == read.dtype == np.float32
+        assert np.array_equal(got, read)
+        assert np.shares_memory(got, sig.samples)  # a view, not a copy
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [np.array([0.5, np.nan, -0.25], np.float32), np.array([0.5, np.inf, -0.25], np.float32), np.zeros(3)],
+    ids=["nan", "inf", "float64"],
+)
+def test_held_samples_raise_what_the_file_of_those_samples_raises(tmp_path, samples):
+    wavfile.write(tmp_path / "a.wav", 8000, samples)
+    entries = [ManifestEntry("a.wav", "x", 0.0, 0.0001)]  # one sample, outside the bad one
+    with pytest.raises(AudioIOError) as from_file:
+        assemble_composite(entries, base_dir=tmp_path)
+    (tmp_path / "a.wav").unlink()  # the held samples stand for it
+    with pytest.raises(AudioIOError) as from_held:
+        assemble_composite(entries, base_dir=tmp_path, held=AudioSignal(samples, 8000))
+    assert type(from_held.value) is type(from_file.value)
+    assert str(from_held.value) == str(from_file.value)
+
+
+def test_held_samples_stand_for_one_file_only(tmp_path):
+    sig = AudioSignal(np.zeros(800, np.float32), 8000)
+    entries = [ManifestEntry("a.wav", "x", 0.0, 0.01), ManifestEntry("b.wav", "y", 0.0, 0.01)]
+    with pytest.raises(ValueError, match="more than one"):
+        assemble_composite(entries, base_dir=tmp_path, held=sig)
+    # one file named twice, once through its absolute path
+    both = [entries[0], ManifestEntry(str(tmp_path / "a.wav"), "y", 0.05, 0.01)]
+    recording, _ = assemble_composite(both, base_dir=tmp_path, held=sig)
+    assert [crop.shape[0] for crop in recording.crops] == [80, 80]
+
+
 # ------------------------------------------------------------ stft features
 
 
@@ -675,7 +724,7 @@ def _mixed_format_files(tmp_path, rate, frames):
     return ["i16", "u8", "i24", "i16-stereo", "f32"]
 
 
-@pytest.mark.parametrize("block_rows", [3, 32, 256])
+@pytest.mark.parametrize("block_rows", [3, 8, 32, 256])
 @pytest.mark.parametrize("shape", ["straddling", "below-one-block", "whole-blocks"])
 @pytest.mark.parametrize(
     "cfg",
