@@ -155,11 +155,6 @@ class SimilarityGraph:
     def n_vertices(self) -> int:
         return self.weights.shape[0]
 
-    def edge_list(self) -> list[tuple[int, int, float]]:
-        """Edges as (i, j, weight) triplets with i < j, in row-major order."""
-        upper = sparse.triu(self.weights, k=1, format="csr").tocoo()
-        return list(zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()))
-
 
 def knn_graph(
     features: npt.ArrayLike, neighbors: int = 15, *, overwrite_features: bool = False

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+from scipy import sparse
 
 from . import plots
 from .evaluate import align_labels, confusion, densify, labels_from_spans, purity
@@ -242,6 +243,12 @@ class _Stages:
             writer.writerow(header)
             writer.writerows(rows)
 
+    def write_lines(self, name: str, header: list[str], lines: Iterable[str]) -> None:
+        """`write_csv` for rows formatted by the caller, each line ending in its own CRLF."""
+        with open(self.track(self.out / name), "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(lines)
+
     def write_json(self, name: str, payload: dict[str, Any]) -> None:
         self.write_text(name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -408,13 +415,24 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
             ["index", "eigenvalue"],
             ([i, repr(float(v))] for i, v in enumerate(embedding.eigenvalues, start=1)),
         )
-        stages.write_csv(
+        # numbers need no quoting, and a float's repr (what csv writes) round-trips exactly
+        stages.write_lines(
             "embedding.csv",
             ["window_index"] + [f"v{j}" for j in range(1, embedding.p + 1)],
-            # csv writes a Python float as its repr, which round-trips exactly
-            ([i, *row] for i, row in enumerate(embedding.eigenvectors.tolist())),
+            (
+                f"{i},{','.join(map(repr, row))}\r\n"
+                for i, row in enumerate(embedding.eigenvectors.tolist())
+            ),
         )
-        stages.write_csv("graph.csv", ["i", "j", "weight"], graph.edge_list())
+        upper = sparse.triu(graph.weights, k=1, format="csr").tocoo()  # edges i < j, row by row
+        stages.write_lines(
+            "graph.csv",
+            ["i", "j", "weight"],
+            (
+                f"{i},{j},{w!r}\r\n"
+                for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
+            ),
+        )
         stages.write_json(
             "graph.json",
             {

@@ -96,11 +96,11 @@ def heatmap_svg(weights: np.ndarray | sparse.sparray) -> str:
     b = min(n, side)
     cell = side / b
     bins = np.arange(n, dtype=np.int64) * b // n
-    grid = np.zeros((b, b), dtype=np.int64)
+    grid = np.zeros((b, b), dtype=np.uint8)  # greys 0..255
     np.maximum.at(
         grid,
         (np.repeat(bins, np.diff(W.indptr)), bins[W.indices]),
-        np.clip(np.rint(W.data * 255.0), 0, 255).astype(np.int64),
+        np.clip(np.rint(W.data * 255.0), 0, 255).astype(np.uint8),
     )
     opens = np.ones((b, b), dtype=bool)
     opens[:, 1:] = grid[:, 1:] != grid[:, :-1]

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import numpy.typing as npt
-from scipy.io import wavfile
 
 
 STFT_BLOCK_ROWS = 8  # windows transformed together in stft_features
@@ -19,6 +19,8 @@ TAPERS = ("box", "hamming")  # per-window tapers; "box" leaves the samples as th
 # first.  24-bit PCM arrives widened into the top bytes of int32, so one scale
 # realizes v/2^23 for 24-bit data and v/2^31 for true 32-bit.
 PCM_SCALES = {np.dtype(np.uint8): 128.0, np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}
+# what write_wav writes: sample type and WAVE format tag (1 PCM, 3 IEEE float)
+WAV_ENCODINGS = {"float32": (np.dtype("<f4"), 3), "pcm16": (np.dtype("<i2"), 1)}
 
 
 class AudioIOError(Exception):
@@ -206,6 +208,8 @@ def _read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     audio raise distinct exception types; non-finite float samples raise
     AudioIOError.
     """
+    from scipy.io import wavfile  # ~1.5 MB of modules that only a run reading a file needs
+
     try:
         rate, data = wavfile.read(str(path))
     except ValueError as exc:
@@ -225,7 +229,8 @@ def _check_samples(path: str | Path, rate: int, data: np.ndarray) -> None:
     if data.ndim == 2 and data.shape[1] > 2:
         raise UnsupportedEncodingError(f"{path}: {data.shape[1]} channels; expected 1 or 2")
     if data.dtype == np.float32:
-        if not np.isfinite(data).all():
+        # reductions, not an elementwise mask: NaN reaches both, and no temporary is made
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise AudioIOError(f"{path}: non-finite (NaN or inf) samples")
     elif data.dtype not in PCM_SCALES:
         raise UnsupportedEncodingError(f"{path}: sample format {data.dtype} not supported")
@@ -249,14 +254,34 @@ def _to_float(raw: np.ndarray, out: np.ndarray) -> None:
 
 
 def write_wav(signal: AudioSignal, path: str | Path, encoding: str = "float32") -> None:
-    """Encode mono audio to WAV. float32 round-trips exactly; pcm16 quantizes."""
-    if encoding == "float32":
-        wavfile.write(str(path), signal.sample_rate, signal.samples.astype(np.float32, copy=False))
-    elif encoding == "pcm16":
-        q = np.clip(np.round(signal.samples * 2.0**15), -(2.0**15), 2.0**15 - 1)
-        wavfile.write(str(path), signal.sample_rate, q.astype(np.int16))
-    else:
+    """Encode mono audio to WAV. float32 round-trips exactly; pcm16 quantizes.
+
+    The bytes are those `scipy.io.wavfile.write` writes: float32 adds an
+    empty `cbSize` to the `fmt ` chunk and a `fact` chunk, PCM neither.
+    Float32 samples are written from their own buffer.  Audio too long for
+    RIFF's 32-bit sizes is a ValueError, raised before the file is opened.
+    """
+    if encoding not in WAV_ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}; expected 'float32' or 'pcm16'")
+    dtype, tag = WAV_ENCODINGS[encoding]
+    rate, n, width = signal.sample_rate, signal.samples.size, dtype.itemsize
+    fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
+    fact = b""
+    if tag == 3:  # IEEE float: an empty cbSize, and a fact chunk of the frame count
+        fmt += b"\x00\x00"
+        fact = b"fact" + struct.pack("<II", 4, n)
+    chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
+    size = len(chunks) + 8 + n * width  # what follows RIFF's own size field
+    if size > 0xFFFFFFFF:
+        raise ValueError(f"{n} {encoding} samples do not fit in a WAV file's 32-bit sizes")
+    if encoding == "float32":
+        data = signal.samples.astype(dtype, copy=False)
+    else:
+        q = np.clip(np.round(signal.samples * 2.0**15), -(2.0**15), 2.0**15 - 1)
+        data = q.astype(dtype)
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", size) + chunks + b"data" + struct.pack("<I", n * width))
+        fh.write(np.ascontiguousarray(data))
 
 
 MANIFEST_FIELDS = ("path", "label", "start_s", "duration_s")

@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import gc
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -171,6 +173,14 @@ def test_default_run_graph_csv_roundtrip(default_run):
         assert i < j
         W[i, j] = W[j, i] = float(w_s)
     assert np.array_equal(W, g.weights.toarray())
+    # and byte for byte what csv.writer writes for the upper triangle, row by row
+    upper = sparse.triu(g.weights, k=1, format="csr").tocoo()
+    oracle = io.StringIO()
+    csv.writer(oracle).writerows(
+        [["i", "j", "weight"], *zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())]
+    )
+    written = (out / "graph.csv").read_bytes().decode("utf-8")
+    assert written.splitlines(keepends=True) == oracle.getvalue().splitlines(keepends=True)
     assert np.array_equal(np.array(meta["scales"]), g.scales)
     assert meta["neighbors"] == g.neighbors
 
@@ -1020,12 +1030,37 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = (
         "import sys, passby.cli; "
-        "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph', 'scipy.optimize') "
+        "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph', 'scipy.optimize', 'scipy.io') "
         "if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_only_a_run_that_reads_a_wav_file_imports_scipy_io(tmp_path):
+    # the demo writes synthetic.wav itself and reads nothing back; a manifest run reads its clips
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = (
+        "import sys\n"
+        "from passby.cli import main\n"
+        "from passby.signal import ManifestEntry, write_manifest, write_wav\n"
+        "from passby.synth import default_vehicle_bank, gen_vehicle_audio\n"
+        "assert main(['--out', 'demo']) == 0\n"
+        "demo = 'scipy.io' in sys.modules\n"
+        "signal, _ = gen_vehicle_audio(default_vehicle_bank(), passages=(0, 1), rng_seed=0)\n"
+        "write_wav(signal, 'clips.wav', encoding='pcm16')\n"
+        "write_manifest([ManifestEntry('clips.wav', c, 2.0 * i, 2.0) for i, c in enumerate('ab')], 'm.csv')\n"
+        "written = 'scipy.io' in sys.modules\n"
+        "assert main(['--manifest', 'm.csv', '--out', 'm', '--method', 'spectral', '--k', '2']) == 0\n"
+        "print(demo, written, 'scipy.io' in sys.modules)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].split() == ["False", "False", "True"]  # after main's summaries
 
 
 def test_module_import_leaves_the_pipeline_unloaded():
@@ -1034,7 +1069,7 @@ def test_module_import_leaves_the_pipeline_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     for module, absent in [
         ("passby.graph", ("passby.pipeline", "passby.plots", "scipy.io")),
-        ("passby.signal", ("passby.pipeline", "passby.plots")),
+        ("passby.signal", ("passby.pipeline", "passby.plots", "scipy.io")),
         ("passby.spectral", ("passby.pipeline", "passby.plots")),
         ("passby.synth", ("passby.pipeline", "passby.plots", "passby.graph")),
     ]:
@@ -1140,6 +1175,19 @@ def test_heatmap_keeps_a_lone_edge_visible():
     # one-pixel cells: the edge lands in bins 4321*612//5000 = 528 and 1234*612//5000 = 151
     assert '<rect x="582.00" y="205.00" width="1.35" height="1.35" fill="rgb(255,255,255)"/>' in svg
     assert '<rect x="205.00" y="582.00" width="1.35" height="1.35" fill="rgb(255,255,255)"/>' in svg
+
+
+def test_heatmap_holds_a_byte_per_cell():
+    # a grey fits one byte; an int64 grid of the 612 x 612 cells alone is 3 MB
+    n = 5000
+    W = sparse.coo_array(([1.0, 1.0], ([1234, 4321], [4321, 1234])), shape=(n, n)).tocsr()
+    tracemalloc.start()
+    try:
+        heatmap_svg(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 612 * 612 * 4
 
 
 def _embedding_by_loop(M):

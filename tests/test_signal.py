@@ -205,6 +205,34 @@ def test_write_wav_pcm16_quantizes(tmp_path):
     assert back.samples[0] == pytest.approx(0.5, abs=1 / 32768)
 
 
+@pytest.mark.parametrize("rate", [8000, 48000])
+@pytest.mark.parametrize("n", [1001, 1002])
+def test_write_wav_writes_the_bytes_scipy_writes(tmp_path, rate, n):
+    rng = np.random.default_rng(n)
+    float64 = rng.uniform(-1.2, 1.2, n)  # past full scale too, where pcm16 clips
+    float32 = rng.uniform(-0.9, 0.9, 2 * n).astype(np.float32)
+    for samples in (float64, float32[:n], float32[::2]):
+        signal = AudioSignal(samples, rate)
+        quantized = np.clip(np.round(signal.samples * 2.0**15), -(2.0**15), 2.0**15 - 1)
+        for encoding, oracle in [
+            ("float32", signal.samples.astype(np.float32)),
+            ("pcm16", quantized.astype(np.int16)),
+        ]:
+            write_wav(signal, tmp_path / "passby.wav", encoding=encoding)
+            wavfile.write(tmp_path / "scipy.wav", rate, oracle)
+            assert (tmp_path / "passby.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+    assert not AudioSignal(float32[::2], rate).samples.flags.c_contiguous  # the strided view stays one
+
+
+def test_write_wav_refuses_audio_beyond_riff_sizes_before_converting_it(tmp_path):
+    # 4 GiB of samples from a broadcast zero, which holds one; converting it would allocate them.
+    # The directory is missing, so a writer that opened the file before refusing fails unwritten.
+    huge = AudioSignal(np.broadcast_to(np.float32(0), (2**30,)), 8000)
+    with pytest.raises(ValueError, match="32-bit"):
+        write_wav(huge, tmp_path / "missing" / "big.wav")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------ manifest
 
 
@@ -478,6 +506,18 @@ def test_held_samples_raise_what_the_file_of_those_samples_raises(tmp_path, samp
         assemble_composite(entries, base_dir=tmp_path, held=AudioSignal(samples, 8000))
     assert type(from_held.value) is type(from_file.value)
     assert str(from_held.value) == str(from_file.value)
+
+
+def test_float32_samples_are_checked_without_a_mask():
+    # a bool per sample would be a quarter of the samples' bytes
+    samples = np.random.default_rng(0).uniform(-1.0, 1.0, 1_000_000).astype(np.float32)
+    tracemalloc.start()
+    try:
+        signal_module._check_samples("a.wav", 8000, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_held_samples_stand_for_one_file_only(tmp_path):
