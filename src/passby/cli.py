@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="JSON config file; explicit flags override its values")
     p.add_argument("--manifest", help="clip manifest CSV (path,label,start_s,duration_s); omit to synthesize input")
-    p.add_argument("--out", help="output directory (default: out)")
+    p.add_argument("--out", dest="out_dir", help="output directory (default: out)")
     p.add_argument("--window-len", type=int, dest="window_len", help="samples per analysis window")
     p.add_argument("--overlap", type=float, help="window overlap fraction in [0, 1)")
     p.add_argument("--taper", choices=TAPERS, help="per-window taper")
@@ -50,11 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _overrides(args: argparse.Namespace) -> dict[str, Any]:
     """The flags given on the command line, as PipelineConfig fields."""
-    out: dict[str, Any] = {
-        k: v for k, v in vars(args).items() if v is not None and k not in ("config", "out")
-    }
-    if args.out is not None:
-        out["out_dir"] = args.out
+    out: dict[str, Any] = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
     if "k" in out and out["k"] != "auto":
         try:
             out["k"] = int(out["k"])

@@ -208,10 +208,10 @@ def knn_graph_from_distances(
     covered = np.zeros(n, dtype=np.int64)  # columns each row has seen
     for row0, col0, tile in tiles:
         d = np.asarray(tile, dtype=np.float64)
-        _fold(d, row0, col0, row0 == col0, near_d, near_c, above)
+        _fold(d, row0, col0, near_d, near_c, above)
         covered[row0 : row0 + d.shape[0]] += d.shape[1]
         if col0 != row0:
-            _fold(d.T, col0, row0, False, near_d, near_c, above)
+            _fold(d.T, col0, row0, near_d, near_c, above)
             covered[col0 : col0 + d.shape[1]] += d.shape[0]
     tile = d = None  # the last tile goes before the graph is built
     if np.any(covered != n):
@@ -237,7 +237,6 @@ def _fold(
     d: npt.NDArray[np.float64],
     row0: int,
     col0: int,
-    diagonal: bool,
     near_d: npt.NDArray[np.float64],
     near_c: npt.NDArray[np.intp],
     above: npt.NDArray[np.float64],
@@ -245,9 +244,10 @@ def _fold(
     """Fold the distances d from rows row0... to columns col0... into those rows' lists.
 
     `d` may be a transposed view; numpy then compares it in its own memory
-    order.  On a diagonal tile each row's own entry is skipped.
+    order.  On a diagonal tile (`row0 == col0`) each row's own entry is skipped.
     """
     k = near_d.shape[1]
+    diagonal = row0 == col0
     rows = slice(row0, row0 + d.shape[0])
     # an entry can change a row's state only up to its k-th distance so far
     # or, while that lies under the floor, up to its smallest distance at or

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -14,13 +13,13 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
 from . import plots
 from .evaluate import align_labels, confusion, densify, labels_from_spans, purity
 from .graph import (
     IsolatedVertexError,
     ScaleError,
+    SimilarityGraph,
     ZeroNormError,
     knn_graph,
     laplacian,
@@ -237,14 +236,8 @@ class _Stages:
         path.write_text(text, encoding="utf-8")
         return path
 
-    def write_csv(self, name: str, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
-        with open(self.track(self.out / name), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-
     def write_lines(self, name: str, header: list[str], lines: Iterable[str]) -> None:
-        """`write_csv` for rows formatted by the caller, each line ending in its own CRLF."""
+        """A CSV table: the header, then the caller's lines, each ending in its own CRLF."""
         with open(self.track(self.out / name), "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
             fh.writelines(lines)
@@ -261,6 +254,23 @@ class _Stages:
         for path in reversed(self.made_dirs):
             with suppress(OSError):
                 path.rmdir()  # fails on a directory that holds files this run did not write
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it: quoted, inner quotes doubled, iff it holds `,`, `"`, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _edge_lines(graph: SimilarityGraph) -> Iterator[str]:
+    """graph.csv's lines: each edge i < j, row by row, columns ascending, one row held at a time."""
+    indptr, indices, data = graph.weights.indptr, graph.weights.indices, graph.weights.data
+    for i in range(graph.n_vertices):  # the CSR holds each row's columns sorted
+        start, stop = indptr[i], indptr[i + 1]
+        for j, w in zip(indices[start:stop].tolist(), data[start:stop].tolist()):
+            if j > i:
+                yield f"{i},{j},{w!r}\r\n"
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
@@ -400,22 +410,24 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
     first_artifact = len(stages.created)
     with stages.stage("artifacts"):
         primary_labels = partitions[primary].labels
-        stages.write_csv(
+        # the lines csv.writer writes: numbers need no quoting, a float's repr
+        # round-trips exactly, and each class name is quoted once
+        quoted = [_csv_field(name) for name in class_names]
+        stages.write_lines(
             "labels.csv",
             ["window_index", "start_s", "cluster", "true_label"],
             (
-                [i, repr(float(t)), int(c), name]
-                for i, (t, c, name) in enumerate(
-                    zip(start_times, primary_labels, truth_names)
+                f"{i},{t!r},{c},{quoted[true_id]}\r\n"
+                for i, (t, c, true_id) in enumerate(
+                    zip(start_times.tolist(), primary_labels.tolist(), truth_ids.tolist())
                 )
             ),
         )
-        stages.write_csv(
+        stages.write_lines(
             "spectrum.csv",
             ["index", "eigenvalue"],
-            ([i, repr(float(v))] for i, v in enumerate(embedding.eigenvalues, start=1)),
+            (f"{i},{v!r}\r\n" for i, v in enumerate(embedding.eigenvalues.tolist(), start=1)),
         )
-        # numbers need no quoting, and a float's repr (what csv writes) round-trips exactly
         stages.write_lines(
             "embedding.csv",
             ["window_index"] + [f"v{j}" for j in range(1, embedding.p + 1)],
@@ -424,15 +436,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
                 for i, row in enumerate(embedding.eigenvectors.tolist())
             ),
         )
-        upper = sparse.triu(graph.weights, k=1, format="csr").tocoo()  # edges i < j, row by row
-        stages.write_lines(
-            "graph.csv",
-            ["i", "j", "weight"],
-            (
-                f"{i},{j},{w!r}\r\n"
-                for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
-            ),
-        )
+        stages.write_lines("graph.csv", ["i", "j", "weight"], _edge_lines(graph))
         stages.write_json(
             "graph.json",
             {

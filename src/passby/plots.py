@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 WIDTH = 720
 HEIGHT = 440
@@ -25,11 +28,11 @@ PALETTE = (
 )
 
 
-def _svg(body: str, width: int = WIDTH, height: int = HEIGHT) -> str:
+def _svg(body: str, height: int = HEIGHT) -> str:
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+        f'viewBox="0 0 {WIDTH} {height}">\n'
+        f'<rect x="0" y="0" width="{WIDTH}" height="{height}" fill="white"/>\n'
         f"{body}</svg>\n"
     )
 
@@ -80,18 +83,17 @@ def embedding_svg(matrix: np.ndarray) -> str:
     return _svg(body)
 
 
-def heatmap_svg(weights: np.ndarray | sparse.sparray) -> str:
+def heatmap_svg(weights: sparse.csr_array) -> str:
     """Grayscale matrix picture: value 1 paints white, value 0 paints black.
 
     The picture has at most one cell per pixel: with n > 612 vertices, vertex
     i falls in bin i*b//n of b = 612 bins per axis, and each cell paints the
     largest grey in its bin, so no edge vanishes.  With n <= 612 every bin
     holds one vertex.  Each run of equal grey within a row of cells is
-    painted as one rect.  A dense matrix is converted to CSR once.
+    painted as one rect.  `weights` is a CSR array, as a graph's weights are,
+    and each stored entry is a cell's value.
     """
-    W = sparse.csr_array(weights, dtype=np.float64)
-    W.sum_duplicates()
-    n = W.shape[0]
+    n = weights.shape[0]
     side = WIDTH - 2 * MARGIN
     b = min(n, side)
     cell = side / b
@@ -99,8 +101,8 @@ def heatmap_svg(weights: np.ndarray | sparse.sparray) -> str:
     grid = np.zeros((b, b), dtype=np.uint8)  # greys 0..255
     np.maximum.at(
         grid,
-        (np.repeat(bins, np.diff(W.indptr)), bins[W.indices]),
-        np.clip(np.rint(W.data * 255.0), 0, 255).astype(np.uint8),
+        (np.repeat(bins, np.diff(weights.indptr)), bins[weights.indices]),
+        np.clip(np.rint(weights.data * 255.0), 0, 255).astype(np.uint8),
     )
     opens = np.ones((b, b), dtype=bool)
     opens[:, 1:] = grid[:, 1:] != grid[:, :-1]
@@ -120,7 +122,7 @@ def heatmap_svg(weights: np.ndarray | sparse.sparray) -> str:
             )
         ]
     )
-    return _svg(body, width=WIDTH, height=side + 2 * MARGIN)
+    return _svg(body, height=side + 2 * MARGIN)
 
 
 def timeline_svg(clusters: np.ndarray, truth: list[str]) -> str:
@@ -168,7 +170,7 @@ def emit_plots(
     embedding: np.ndarray,
     clusters: np.ndarray,
     truth: list[str],
-    weights: np.ndarray,
+    weights: sparse.csr_array,
 ) -> list[Path]:
     """Render the spectrum, embedding, cluster timeline and similarity SVGs.
 

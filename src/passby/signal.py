@@ -167,14 +167,6 @@ class FeatureMatrix:
         if self.values.size and not (0.0 <= self.values.min() and self.values.max() < np.inf):
             raise ValueError("feature values must be finite and nonnegative")
 
-    @property
-    def n_windows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_coefficients(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class ManifestEntry:

@@ -204,8 +204,9 @@ def _plus_plus_seeds(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return centroids
 
 
-def _repair_empty(labels: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
-    """Hand each empty cluster the point farthest from its own centroid."""
+def _repair_empty(labels: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Hand each empty cluster (a column of `d2`) the point farthest from its own centroid."""
+    k = d2.shape[1]
     for c in range(k):
         if not np.any(labels == c):
             own = d2[np.arange(labels.size), labels].copy()
@@ -224,7 +225,7 @@ def _lloyd(
     prev = np.inf
     for _ in range(max_iter):
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = _repair_empty(np.argmin(d2, axis=1), d2, k)
+        labels = _repair_empty(np.argmin(d2, axis=1), d2)
         centroids = np.stack([X[labels == c].mean(axis=0) for c in range(k)])
         wcss = float(((X - centroids[labels]) ** 2).sum())
         if np.isfinite(prev) and (prev == 0.0 or (prev - wcss) / prev < tol):

@@ -148,8 +148,9 @@ def _build_clip(
     over h in order, times the envelope, plus `broadband_level * noise`, with
     the operations grouped as in that formula, so the bytes match a whole-clip
     build.  The noise is drawn after every (wobble, phase) pair, block by
-    block, which gives the values of one whole-clip draw.  A float32 `x` gets
-    each block summed in a second float64 scratch buffer, then rounded in.
+    block, which gives the values of one whole-clip draw.  Each block is
+    summed in a second float64 scratch buffer, then written into `x`: copied
+    into float64 samples, rounded into float32 ones as astype rounds.
     """
     # the middle 0 keeps the stream every clip has always drawn
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(rng_seed, 0, idx)))
@@ -158,12 +159,10 @@ def _build_clip(
         wobble = 1.0 + spec.amp_jitter * rng.standard_normal()
         phase = rng.uniform(0.0, 2.0 * np.pi)
         harmonics.append((2.0 * np.pi * spec.fundamental_hz * h, phase, amp * wobble))
-    scratch = np.empty(SYNTH_BLOCK_SAMPLES)
-    sums = np.empty(SYNTH_BLOCK_SAMPLES) if x.dtype != np.float64 else None
+    scratch, sums = np.empty(SYNTH_BLOCK_SAMPLES), np.empty(SYNTH_BLOCK_SAMPLES)
     for start in range(0, x.size, SYNTH_BLOCK_SAMPLES):
-        out = x[start : start + SYNTH_BLOCK_SAMPLES]
-        xb = out if sums is None else sums[: out.size]
         tb = t[start : start + SYNTH_BLOCK_SAMPLES]
+        xb = sums[: tb.size]
         buf = scratch[: xb.size]
         xb.fill(0.0)
         for omega, phase, level in harmonics:
@@ -182,5 +181,4 @@ def _build_clip(
         rng.standard_normal(out=buf)
         buf *= spec.broadband_level
         xb += buf
-        if sums is not None:
-            out[...] = xb  # rounded to float32, as astype rounds
+        x[start : start + tb.size] = xb

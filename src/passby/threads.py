@@ -44,12 +44,14 @@ def one_blas_thread() -> Iterator[bool]:
 
     Yields whether any OpenBLAS is held, by this pin or another.  Pins nest,
     and several threads may hold one at once.  Entering a pin also pins the
-    copies loaded since an outer pin began.
+    copies loaded since an outer pin began.  A pin that fails to find the
+    libraries raises before it counts itself, so it changes nothing.
     """
     global _holders
     with _lock:
+        found = _openblas()
         _holders += 1
-        for path, (get, set_count) in _openblas().items():
+        for path, (get, set_count) in found.items():
             if path not in _saved:
                 _saved[path] = (get(), set_count)
                 set_count(1)
@@ -69,12 +71,14 @@ def _openblas(maps: str | None = None) -> dict[str, tuple[Callable[[], int], Cal
     """The thread-count getter and setter of each OpenBLAS this process has loaded.
 
     The libraries are found in `maps`, the text of /proc/self/maps, read here
-    when not given.  A copy that cannot be opened by its path (its file was
-    removed or replaced) is left out, and so stays as it is.
+    when not given, as bytes decoded as file names are, so that a path that is
+    not UTF-8 round-trips into `ctypes.CDLL`.  A copy that cannot be opened by
+    its path (its file was removed or replaced) is left out, and so stays as
+    it is.
     """
     if maps is None:
         try:
-            maps = Path("/proc/self/maps").read_text()
+            maps = os.fsdecode(Path("/proc/self/maps").read_bytes())
         except OSError:  # no /proc: nothing is found, nothing is pinned
             return {}
     import ctypes  # here, so that importing passby does not pay for it

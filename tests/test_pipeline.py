@@ -25,7 +25,7 @@ from _helpers import blas_threads, caller_blas_threads, waveform_by_loop
 from passby import cli, plots
 from passby.cli import build_parser, main
 from passby.evaluate import align_labels, confusion, purity
-from passby.graph import ZeroNormError, knn_graph, laplacian
+from passby.graph import SimilarityGraph, ZeroNormError, knn_graph, laplacian
 from passby.incres import IncresConfig, incres_cluster
 from passby.pipeline import (
     EXIT_CONFIG,
@@ -183,6 +183,51 @@ def test_default_run_graph_csv_roundtrip(default_run):
     assert written.splitlines(keepends=True) == oracle.getvalue().splitlines(keepends=True)
     assert np.array_equal(np.array(meta["scales"]), g.scales)
     assert meta["neighbors"] == g.neighbors
+
+
+def test_graph_csv_lines_hold_one_row_at_a_time():
+    # no copy of the upper triangle and no list of all its edges: one row's edges at a time
+    from passby.pipeline import _edge_lines
+
+    rng = np.random.default_rng(6)
+    n = 2000
+    upper = sparse.triu(sparse.random_array((n, n), density=0.01, rng=rng, format="csr"), k=1)
+    g = SimilarityGraph(weights=upper + upper.T, scales=np.ones(n), neighbors=1)
+    assert 35_000 < g.weights.nnz < 45_000
+    tracemalloc.start()
+    try:
+        for _ in _edge_lines(g):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
+    upper = sparse.triu(g.weights, k=1, format="csr").tocoo()  # edges i < j, row by row
+    edges = zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
+    assert list(_edge_lines(g)) == [f"{i},{j},{w!r}\r\n" for i, j, w in edges]
+
+
+def test_labels_csv_quotes_class_names_as_csv_writer_does(tmp_path, capsys, default_run):
+    _, demo = default_run
+    shutil.copy(demo / "synthetic.wav", tmp_path)
+    names = {"truck": 'big, "red" truck', "sedan": "sedan\nline2", "van": ""}
+    entries = [dataclasses.replace(e, label=names[e.label]) for e in read_manifest(demo / "manifest.csv")]
+    write_manifest(entries, tmp_path / "m.csv")
+    out = tmp_path / "o"
+    code = main(["--manifest", str(tmp_path / "m.csv"), "--method", "spectral", "--k", "3", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    composite, _ = assemble_composite(entries, base_dir=tmp_path)
+    start_times = stft_features(composite, PipelineConfig().windowing()).start_times
+    oracle = io.StringIO(newline="")
+    writer = csv.writer(oracle)
+    writer.writerow(["window_index", "start_s", "cluster", "true_label"])
+    for i, (t, c, true_id) in enumerate(
+        zip(start_times, report["methods"]["spectral"]["labels"], report["true_labels"])
+    ):
+        writer.writerow([i, repr(float(t)), c, report["true_classes"][true_id]])
+    assert report["true_classes"] == [names["truck"], names["sedan"], names["van"]]
+    assert (out / "labels.csv").read_bytes() == oracle.getvalue().encode("utf-8")
 
 
 def test_default_run_confusion_files(default_run):
@@ -878,7 +923,7 @@ def test_cli_k_above_twenty_clusters(tmp_path, capsys):
 
 
 def test_cli_flags_are_config_fields():
-    dests = set(vars(build_parser().parse_args([]))) - {"config", "out"}
+    dests = set(vars(build_parser().parse_args([]))) - {"config"}
     assert dests <= {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
@@ -1072,6 +1117,7 @@ def test_module_import_leaves_the_pipeline_unloaded():
         ("passby.signal", ("passby.pipeline", "passby.plots", "scipy.io")),
         ("passby.spectral", ("passby.pipeline", "passby.plots")),
         ("passby.synth", ("passby.pipeline", "passby.plots", "passby.graph")),
+        ("passby.plots", ("scipy",)),
     ]:
         probe = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
@@ -1080,17 +1126,17 @@ def test_module_import_leaves_the_pipeline_unloaded():
 
 
 def test_heatmap_paints_extremes():
-    svg = heatmap_svg(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    svg = heatmap_svg(sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
     assert "rgb(0,0,0)" in svg
     assert "rgb(255,255,255)" in svg
 
 
 def test_heatmap_merges_constant_runs():
-    svg = heatmap_svg(np.ones((8, 8)))
+    svg = heatmap_svg(sparse.csr_array(np.ones((8, 8))))
     assert svg.count("<rect") == 1 + 8  # background plus one merged run per row
 
     checker = (np.indices((8, 8)).sum(axis=0) % 2).astype(float)
-    assert heatmap_svg(checker).count("<rect") == 1 + 64  # nothing merges
+    assert heatmap_svg(sparse.csr_array(checker)).count("<rect") == 1 + 64  # nothing merges
 
 
 def _heatmap_by_loop(weights):
@@ -1118,7 +1164,7 @@ def _heatmap_by_loop(weights):
                 f'fill="rgb({g},{g},{g})"/>\n'
             )
             j = j2 + 1
-    return _svg(body, width=WIDTH, height=side + 2 * MARGIN)
+    return _svg(body, height=side + 2 * MARGIN)
 
 
 def test_heatmap_matches_loop_reference():
@@ -1128,8 +1174,8 @@ def test_heatmap_matches_loop_reference():
         W = rng.integers(0, 4, size=(n, n)) / 3.0
         W[n // 2] = W[n // 2, 0]  # a constant row
         W[-1] = 1.0
-        assert heatmap_svg(W) == _heatmap_by_loop(W)
-        assert heatmap_svg(np.full((n, n), 0.5)) == _heatmap_by_loop(np.full((n, n), 0.5))
+        assert heatmap_svg(sparse.csr_array(W)) == _heatmap_by_loop(W)
+        assert heatmap_svg(sparse.csr_array(np.full((n, n), 0.5))) == _heatmap_by_loop(np.full((n, n), 0.5))
 
 
 def test_heatmap_of_csr_matches_loop_reference():

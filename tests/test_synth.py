@@ -264,7 +264,7 @@ def test_vehicle_audio_rejects_other_sample_types():
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_vehicle_audio_holds_its_samples_and_block_scratch_only(monkeypatch, dtype):
     # no whole-recording temporary: beyond the samples, the clip's time axis
-    # and two float64 blocks per worker (float32 sums its blocks apart)
+    # and two float64 blocks per worker (each block is summed apart)
     cpus = 3
     monkeypatch.setattr(threads, "available_cpus", lambda: cpus)
     tracemalloc.start()
@@ -301,8 +301,8 @@ def test_clean_clips_have_identical_window_features():
     bank = (_clean_spec("a", 32.0), _clean_spec("b", 64.0))
     signal, _ = gen_vehicle_audio(bank, passages=(0, 1), rng_seed=0)
     fm = stft_features(signal, WindowingConfig())
-    D = distance_matrix(pairwise_cosine_distances(fm.values), fm.n_windows)
-    n = fm.n_windows
+    D = distance_matrix(pairwise_cosine_distances(fm.values), fm.values.shape[0])
+    n = fm.values.shape[0]
     half = n // 2
     within_a = D[:half, :half][np.triu_indices(half, k=1)]
     within_b = D[half:, half:][np.triu_indices(half, k=1)]
@@ -315,7 +315,7 @@ def test_clean_clips_have_identical_window_features():
 def test_default_bank_within_class_tighter_than_between():
     signal, spans = gen_vehicle_audio(default_vehicle_bank(), rng_seed=3)
     fm = stft_features(signal, WindowingConfig())
-    D = distance_matrix(pairwise_cosine_distances(fm.values), fm.n_windows)
+    D = distance_matrix(pairwise_cosine_distances(fm.values), fm.values.shape[0])
     mid = fm.start_times + fm.window_len / (2 * fm.sample_rate)
     truth = np.array([[s.label for s in spans if s.start_s <= t < s.end_s][0] for t in mid])
     same = truth[:, None] == truth[None, :]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import mmap
+import os
 import sys
 import threading
 
@@ -74,3 +76,35 @@ def test_a_pin_that_finds_no_openblas_says_so(monkeypatch):
     monkeypatch.setattr(threads, "_openblas", lambda: {})
     with one_blas_thread() as pinned:
         assert not pinned
+
+
+def test_a_pin_reads_the_maps_while_a_file_under_a_non_utf8_directory_is_mapped(tmp_path):
+    folder = tmp_path / os.fsdecode(b"caf\xe9")  # Latin-1 bytes, not UTF-8
+    folder.mkdir()
+    (folder / "mapped.bin").write_bytes(bytes(4096))
+    with caller_blas_threads(2):
+        with open(folder / "mapped.bin", "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ):
+            with one_blas_thread() as pinned:
+                assert pinned
+                assert blas_threads() == [1] * len(blas_threads())
+            assert blas_threads() == [2] * len(blas_threads())
+
+
+def test_a_pin_that_fails_to_find_the_libraries_changes_nothing(monkeypatch):
+    real, failed = threads._openblas, []
+
+    def fail_once():
+        if not failed:
+            failed.append(True)
+            raise RuntimeError("no maps")
+        return real()
+
+    with caller_blas_threads(2):
+        monkeypatch.setattr(threads, "_openblas", fail_once)
+        with pytest.raises(RuntimeError, match="no maps"):
+            with one_blas_thread():
+                pass
+        assert threads._holders == 0
+        with one_blas_thread():
+            assert blas_threads() == [1] * len(blas_threads())
+        assert blas_threads() == [2] * len(blas_threads())

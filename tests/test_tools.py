@@ -1,8 +1,11 @@
-"""The scripts under tools/: their command lines and summaries, checked without running them."""
+"""The scripts under tools/: their command lines and summaries, and one end-to-end comparison."""
 
 from __future__ import annotations
 
 import importlib.util
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -120,3 +123,25 @@ def test_ab_bench_side_takes_medians_of_its_passing_invocations_and_its_lowest_p
     values = ab_bench.side_metrics(runs, [0.5, 0.4, 0.9])
     assert values == {"run_s": 2.0, "setup_s": 0.5, "cpu_s": 4.0, "peak_rss_mb": 102.0, "purity": 0.97}
     assert ab_bench.side_metrics([runs[1]], [0.5])["run_s"] == 9.0  # none passed: every invocation
+
+
+def _same_outputs(old, new, root):
+    command = [sys.executable, str(ROOT / "tools" / "same_outputs.py"), str(old), str(new)]
+    flags = ["--workload", "cli-default", "--seed", "0", "--root", str(root)]
+    return subprocess.run(command + flags, capture_output=True, text=True, timeout=300)
+
+
+def test_same_outputs_tells_a_tree_from_itself_and_from_a_changed_copy(tmp_path):
+    src = ROOT / "src"
+    run = _same_outputs(src, src, tmp_path / "root")
+    assert (run.returncode, run.stdout) == (0, "cli-default seed 0: same\n"), run.stderr
+    changed = tmp_path / "changed"
+    shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    plots = changed / "passby" / "plots.py"
+    text = plots.read_text()
+    assert 'PALETTE = (\n    "#4477aa",' in text
+    plots.write_text(text.replace('PALETTE = (\n    "#4477aa",', 'PALETTE = (\n    "#4477ab",'))
+    run = _same_outputs(src, changed, tmp_path / "root")
+    assert run.returncode == 1, run.stderr
+    assert run.stdout.startswith("cli-default seed 0: DIFFERENT: ")
+    assert "plots/clusters.svg" in run.stdout

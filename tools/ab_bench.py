@@ -60,11 +60,8 @@ TREE_PROBE = """
 import json, sys
 import passby.cli
 import numpy, scipy, scipy.linalg  # scipy.linalg loads scipy's own OpenBLAS
-try:
-    from passby.threads import _openblas
-    counts = sorted(get() for get, _ in _openblas().values())
-except ImportError:  # a tree older than passby.threads
-    counts = None
+from passby.threads import _openblas
+counts = sorted(get() for get, _ in _openblas().values())
 print(json.dumps({"numpy": numpy.__version__, "scipy": scipy.__version__, "blas_threads": counts}))
 """
 # generates (or finds cached) the workload's inputs: argv is bench/, the tree, workload, seed, root

@@ -11,10 +11,9 @@ Inputs come from bench/workloads.py::prepare, cached under --root and
 generated with OLD_SRC.  Every artifact of the two runs must be
 byte-identical, and so must report.json without `timings` and
 `parameters.out_dir`, the exit code and the console output (out directory
-masked).  Both trees run with OPENBLAS_NUM_THREADS=1, the setting under
-which the README promises equal bytes.  Prints each difference and exits 1
-if there is any; a CSV or JSON file that differs only in its numbers also
-gets the largest relative difference between them.
+masked).  Prints each difference and exits 1 if there is any; a CSV or
+JSON file that differs only in its numbers also gets the largest relative
+difference between them.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _run(src: Path, args: list[str], out: Path) -> tuple[int, str]:
     shutil.rmtree(out, ignore_errors=True)
-    # one BLAS thread on both sides: the thread count moves the bits of a
-    # large product, and the README promises equal bytes only at one count
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-m", "passby.cli", *args], env=env, capture_output=True, text=True)
     return proc.returncode, (proc.stdout + proc.stderr).replace(str(out), "<out>")
 
