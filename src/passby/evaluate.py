@@ -36,7 +36,7 @@ class ConfusionMatrix:
 def confusion(true_labels: npt.ArrayLike, partition: Partition) -> ConfusionMatrix:
     """Cross-tabulate dense true class ids against cluster labels."""
     t = np.asarray(true_labels, dtype=np.int64)
-    if t.shape != (partition.n_points,):
+    if t.shape != partition.labels.shape:
         raise ValueError("true_labels and partition must cover the same points")
     if t.size == 0:
         raise ValueError("cannot tabulate an empty labelling")

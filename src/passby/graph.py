@@ -136,12 +136,13 @@ class SimilarityGraph:
         W.eliminate_zeros()
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "scales", np.asarray(self.scales, dtype=np.float64))
+        # first: a NaN fails the symmetry test too (NaN != NaN), which would misname it
+        if np.any(W.data < 0.0) or not np.all(np.isfinite(W.data)):
+            raise ValueError("weights must be finite and nonnegative")
         if (W != W.T).nnz:
             raise ValueError("weights must be exactly symmetric")
         if np.any(W.diagonal() != 0.0):
             raise ValueError("self-loops are not allowed")
-        if np.any(W.data < 0.0) or not np.all(np.isfinite(W.data)):
-            raise ValueError("weights must be finite and nonnegative")
         if self.scales.shape != (W.shape[0],):
             raise ValueError("scales must hold one entry per vertex")
         degrees = W.sum(axis=1)

@@ -72,7 +72,7 @@ def plant(
     """
     if seeds_per_cluster < 1:
         raise ValueError("seeds_per_cluster must be positive")
-    n = partition.n_points
+    n = partition.labels.size
     mass = np.zeros((n, partition.k))
     everyone = np.arange(n)
     for c in range(partition.k):

@@ -345,9 +345,10 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
 
     with stages.stage("features"):
         features = stft_features(recording, cfg.windowing())
-        # nothing after this stage reads the samples: keep the duration and
-        # free the crops before the graph is built
-        duration_s = recording.duration_s
+        # nothing after this stage reads the samples: keep the rate and the
+        # duration, and free the crops before the graph is built
+        sample_rate = recording.sample_rate
+        duration_s = recording.n_samples / sample_rate
         del recording
 
     with stages.stage("graph"):
@@ -357,7 +358,6 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
         # the envelope and the counts, and free the matrix
         n_windows, n_coefficients = features.values.shape
         start_times, envelope = features.start_times, features.envelope
-        window_len, sample_rate = features.window_len, features.sample_rate
         del features
 
     with stages.stage("spectrum"):
@@ -395,9 +395,8 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
                 records[method] = {"wcss": km.wcss, "columns": E.shape[1]}
 
     with stages.stage("evaluate"):
-        mids = start_times + window_len / (2.0 * sample_rate)
-        truth_names = labels_from_spans(spans, mids)
-        truth_ids, class_names = densify(truth_names)
+        mids = start_times + cfg.window_len / (2.0 * sample_rate)
+        truth_ids, class_names = densify(labels_from_spans(spans, mids))
         for method, partition in partitions.items():
             cm = confusion(truth_ids, partition)
             records[method].update(
@@ -462,7 +461,7 @@ def _run(cfg: PipelineConfig, stages: _Stages) -> dict[str, Any]:
             embedding.eigenvalues,
             embedding.eigenvectors,
             primary_labels,
-            truth_names,
+            truth_ids,
             graph.weights,
         )
 

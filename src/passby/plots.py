@@ -125,13 +125,11 @@ def heatmap_svg(weights: sparse.csr_array) -> str:
     return _svg(body, height=side + 2 * MARGIN)
 
 
-def timeline_svg(clusters: np.ndarray, truth: list[str]) -> str:
-    """Two bands over the window index: true classes on top, clusters below."""
+def timeline_svg(clusters: np.ndarray, truth: np.ndarray) -> str:
+    """Two bands over the window index: true classes (ids from `densify`) on top, clusters below."""
     labels = np.asarray(clusters, dtype=np.int64).tolist()
+    classes = np.asarray(truth, dtype=np.int64).tolist()
     n = len(labels)
-    colors: dict[str, str] = {}
-    for name in truth:
-        colors.setdefault(name, PALETTE[len(colors) % len(PALETTE)])
     xs = _scale(np.arange(n + 1, dtype=float), 0.0, float(n), MARGIN, WIDTH - MARGIN).tolist()
     body = _axes("window index", "")
     body += f'<text x="{MARGIN}" y="{MARGIN - 10}" font-size="13">top: true class, bottom: cluster</text>\n'
@@ -140,7 +138,7 @@ def timeline_svg(clusters: np.ndarray, truth: list[str]) -> str:
     rects = []
     for i in range(n):
         x, w = f"{xs[i]:.2f}", f"{xs[i + 1] - xs[i] + 0.2:.2f}"
-        top, bottom = colors[truth[i]], PALETTE[labels[i] % len(PALETTE)]
+        top, bottom = PALETTE[classes[i] % len(PALETTE)], PALETTE[labels[i] % len(PALETTE)]
         rects.append(f'<rect x="{x}" y="{y_top}" width="{w}" height="{h}" fill="{top}"/>\n')
         rects.append(f'<rect x="{x}" y="{y_bottom}" width="{w}" height="{h}" fill="{bottom}"/>\n')
     return _svg(body + "".join(rects))
@@ -169,7 +167,7 @@ def emit_plots(
     eigenvalues: np.ndarray,
     embedding: np.ndarray,
     clusters: np.ndarray,
-    truth: list[str],
+    truth: np.ndarray,
     weights: sparse.csr_array,
 ) -> list[Path]:
     """Render the spectrum, embedding, cluster timeline and similarity SVGs.

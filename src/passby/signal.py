@@ -92,10 +92,6 @@ class Recording:
     def n_samples(self) -> int:
         return sum(crop.shape[0] for crop in self.crops)
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate
-
 
 @dataclass(frozen=True)
 class WindowingConfig:
@@ -145,15 +141,14 @@ class WindowingConfig:
 class FeatureMatrix:
     """Per-window magnitudes of DFT bins 1..m (bin 0 excluded), row per window.
 
-    `envelope` holds the maximum (row 0) and minimum (row 1) sample of each
-    of `WAVEFORM_COLUMNS` equal time columns of the whole signal; a column
+    `start_times` holds each window's start in seconds.  `envelope` holds
+    the maximum (row 0) and minimum (row 1) sample of each of
+    `WAVEFORM_COLUMNS` equal time columns of the whole signal; a column
     that holds no sample reads 0.
     """
 
     values: npt.NDArray[np.float64]
     start_times: npt.NDArray[np.float64]
-    window_len: int
-    sample_rate: int
     envelope: npt.NDArray[np.float64]
 
     def __post_init__(self) -> None:
@@ -251,12 +246,16 @@ def write_wav(signal: AudioSignal, path: str | Path, encoding: str = "float32") 
     The bytes are those `scipy.io.wavfile.write` writes: float32 adds an
     empty `cbSize` to the `fmt ` chunk and a `fact` chunk, PCM neither.
     Float32 samples are written from their own buffer.  Audio too long for
-    RIFF's 32-bit sizes is a ValueError, raised before the file is opened.
+    RIFF's 32-bit sizes, a rate whose byte rate overflows the header's 32
+    bits, and NaN or infinite samples (which passby's reader refuses) are a
+    ValueError, raised before the file is opened.
     """
     if encoding not in WAV_ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}; expected 'float32' or 'pcm16'")
     dtype, tag = WAV_ENCODINGS[encoding]
     rate, n, width = signal.sample_rate, signal.samples.size, dtype.itemsize
+    if rate * width > 0xFFFFFFFF:
+        raise ValueError(f"sample rate {rate} Hz does not fit in a WAV header's 32-bit byte rate")
     fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
     fact = b""
     if tag == 3:  # IEEE float: an empty cbSize, and a fact chunk of the frame count
@@ -266,6 +265,9 @@ def write_wav(signal: AudioSignal, path: str | Path, encoding: str = "float32") 
     size = len(chunks) + 8 + n * width  # what follows RIFF's own size field
     if size > 0xFFFFFFFF:
         raise ValueError(f"{n} {encoding} samples do not fit in a WAV file's 32-bit sizes")
+    # reductions, not an elementwise mask: NaN reaches both, and no temporary is made
+    if not (np.isfinite(signal.samples.min()) and np.isfinite(signal.samples.max())):
+        raise ValueError("non-finite (NaN or inf) samples cannot be written")
     if encoding == "float32":
         data = signal.samples.astype(dtype, copy=False)
     else:
@@ -469,10 +471,4 @@ def stft_features(
     if cfg.smoothing_len is not None:
         mags = _moving_mean(mags, cfg.smoothing_len)
     starts = hop * np.arange(n) / signal.sample_rate
-    return FeatureMatrix(
-        values=mags,
-        start_times=starts,
-        window_len=w,
-        sample_rate=signal.sample_rate,
-        envelope=envelope.extremes,
-    )
+    return FeatureMatrix(values=mags, start_times=starts, envelope=envelope.extremes)

@@ -162,10 +162,6 @@ class Partition:
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.k):
             raise ValueError("labels must lie in [0, k)")
 
-    @property
-    def n_points(self) -> int:
-        return self.labels.size
-
     def sizes(self) -> npt.NDArray[np.int64]:
         return np.bincount(self.labels, minlength=self.k)
 

@@ -73,7 +73,26 @@ def test_confusion_rejects_negative_ids():
         confusion(np.array([0, -1]), Partition(labels=np.array([0, 1]), k=2))
 
 
+def test_confusion_rejects_an_empty_labelling():
+    empty = np.array([], dtype=np.int64)
+    with pytest.raises(ValueError, match="empty labelling"):
+        confusion(empty, Partition(labels=empty, k=2))
+
+
+@pytest.mark.parametrize(
+    "counts, match", [(np.zeros(3), "2-D"), ([[1, -1]], "nonnegative")], ids=["1-D", "negative"]
+)
+def test_confusion_matrix_rejects_what_is_not_a_table_of_counts(counts, match):
+    with pytest.raises(ValueError, match=match):
+        ConfusionMatrix(counts=counts)
+
+
 # -------------------------------------------------------------- purity
+
+
+def test_purity_of_an_empty_table_is_undefined():
+    with pytest.raises(ValueError, match="undefined"):
+        purity(_cm(np.zeros((2, 3))))
 
 
 def test_purity_on_first_reference_table():

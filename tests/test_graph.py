@@ -40,6 +40,11 @@ def _random_features(rng, n, d):
 # ----------------------------------------------------------- cosine distance
 
 
+def test_pairwise_cosine_distances_rejects_a_vector():
+    with pytest.raises(ValueError, match="2-D"):
+        pairwise_cosine_distances(np.ones(4))
+
+
 def cosine_distance(x, y):
     """1 - cos(angle between x and y), one pair at a time (test oracle only)."""
     xv = np.asarray(x, dtype=np.float64)
@@ -488,6 +493,23 @@ def test_similarity_graph_rejects_asymmetry_and_isolation():
     w[0, 1] = w[1, 0] = 0.7
     with pytest.raises(IsolatedVertexError):
         SimilarityGraph(weights=w, scales=np.ones(3), neighbors=1)
+
+
+@pytest.mark.parametrize(
+    "weights, n_scales, match",
+    [
+        (np.zeros((2, 3)), 2, "square"),
+        ([[0.5, 0.5], [0.5, 0.0]], 2, "self-loops"),
+        ([[0.0, -0.5], [-0.5, 0.0]], 2, "finite and nonnegative"),
+        ([[0.0, np.nan], [np.nan, 0.0]], 2, "finite and nonnegative"),
+        ([[0.0, np.inf], [np.inf, 0.0]], 2, "finite and nonnegative"),
+        ([[0.0, 0.5], [0.5, 0.0]], 3, "one entry per vertex"),
+    ],
+    ids=["not-square", "self-loop", "negative", "nan", "inf", "scales"],
+)
+def test_similarity_graph_rejects_what_is_not_a_graph(weights, n_scales, match):
+    with pytest.raises(ValueError, match=match):
+        SimilarityGraph(weights=np.array(weights), scales=np.ones(n_scales), neighbors=1)
 
 
 def test_similarity_graph_leaves_the_callers_csr_alone():

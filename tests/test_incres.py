@@ -151,6 +151,12 @@ def test_grow_full_support_is_identity():
     assert np.array_equal(out, mass)
 
 
+def test_grow_rejects_a_cap_below_one_step():
+    mass = np.array([[1.0], [0.0], [0.0], [0.0]])  # stepping would have work to do
+    with pytest.raises(ValueError, match="cap must be positive"):
+        grow(mass, transition_matrix(_path_graph(4)), cap=0)
+
+
 def test_grow_single_hop():
     # triangle seeded at two vertices: one step reaches the third
     w = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
@@ -410,6 +416,8 @@ def test_incres_config_validation():
     graph, _, _ = gen_block_similarity(BlockSpec(block_sizes=(3, 3, 3)))
     with pytest.raises(ValueError):
         incres_cluster(graph, 1)
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        incres_embedding(graph, 1)
     with pytest.raises(ValueError):
         IncresConfig(iterations=0)
     with pytest.raises(ValueError):

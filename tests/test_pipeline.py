@@ -24,7 +24,7 @@ from scipy.io import wavfile
 from _helpers import blas_threads, caller_blas_threads, waveform_by_loop
 from passby import cli, plots
 from passby.cli import build_parser, main
-from passby.evaluate import align_labels, confusion, purity
+from passby.evaluate import align_labels, confusion, densify, purity
 from passby.graph import SimilarityGraph, ZeroNormError, knn_graph, laplacian
 from passby.incres import IncresConfig, incres_cluster
 from passby.pipeline import (
@@ -589,7 +589,7 @@ def test_emit_plots_hands_every_plot_to_write_and_returns_its_results():
         np.array([0.0, 0.5, 1.0]),
         rng.standard_normal((6, 3)),
         np.array([0, 0, 1, 1, 2, 2]),
-        ["a", "a", "b", "b", "c", "c"],
+        np.array([0, 0, 1, 1, 2, 2]),
         sparse.csr_array(np.ones((6, 6)) - np.eye(6)),
     )
     assert written == [
@@ -1280,11 +1280,11 @@ def test_embedding_and_timeline_svgs_match_the_per_point_loops(n):
     clusters = rng.integers(0, 3, size=n)
     truth = [("car", "truck", "van")[t] for t in rng.integers(0, 3, size=n)]
     assert embedding_svg(M) == _embedding_by_loop(M)
-    assert timeline_svg(clusters, truth) == _timeline_by_loop(clusters.tolist(), truth)
+    assert timeline_svg(clusters, densify(truth)[0]) == _timeline_by_loop(clusters.tolist(), truth)
 
 
 def test_timeline_uses_distinct_band_colors():
-    svg = timeline_svg(np.array([0, 0, 1, 1]), ["a", "a", "b", "b"])
+    svg = timeline_svg(np.array([0, 0, 1, 1]), np.array([0, 0, 1, 1]))
     assert svg.count("<rect") == 1 + 8  # background plus two bands of four
     assert "#4477aa" in svg and "#ee6677" in svg
 

@@ -233,6 +233,26 @@ def test_write_wav_refuses_audio_beyond_riff_sizes_before_converting_it(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "samples, rate, encoding, match",
+    [
+        ([0.5, np.nan], 8000, "float32", "non-finite"),  # passby's reader refuses the file
+        ([np.inf, 0.5], 8000, "float32", "non-finite"),
+        ([-np.inf], 8000, "float32", "non-finite"),
+        ([0.5, np.nan], 8000, "pcm16", "non-finite"),  # the cast would write NaN as 0
+        ([0.5], 2**31, "float32", "byte rate"),  # 4 bytes a sample overflow the header's 32 bits
+        ([0.5], 8000, "pcm24", "unknown encoding"),
+    ],
+    ids=["float32-nan", "float32-inf", "float32-minus-inf", "pcm16-nan", "rate", "encoding"],
+)
+def test_write_wav_refuses_what_a_wav_file_cannot_hold_before_opening_it(
+    tmp_path, samples, rate, encoding, match
+):
+    with pytest.raises(ValueError, match=match):
+        write_wav(AudioSignal(np.array(samples), rate), tmp_path / "a.wav", encoding=encoding)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------ manifest
 
 
@@ -297,7 +317,7 @@ def test_composite_nine_two_second_clips(tmp_path):
         entries.append(ManifestEntry(f"clip{i}.wav", label, 0.0, 2.0))
     composite, spans = assemble_composite(entries, base_dir=tmp_path)
     assert _samples(composite).size == composite.n_samples == 864000
-    assert composite.duration_s == 18.0
+    assert composite.n_samples / composite.sample_rate == 18.0
     assert len(spans) == 9
     assert spans[0].label == "truck"
     assert spans[-1].end_s == pytest.approx(18.0)
@@ -534,6 +554,34 @@ def test_held_samples_stand_for_one_file_only(tmp_path):
 # ------------------------------------------------------------ stft features
 
 
+@pytest.mark.parametrize(
+    "samples, rate, error, match",
+    [
+        (np.zeros((4, 2)), 8000, ValueError, "one-dimensional"),
+        (np.zeros(0), 8000, EmptyAudioError, "no samples"),
+        (np.zeros(4), 0, ValueError, "sample_rate must be positive"),
+    ],
+    ids=["2-D", "empty", "rate"],
+)
+def test_audio_signal_rejects_what_is_not_mono_audio(samples, rate, error, match):
+    with pytest.raises(error, match=match):
+        AudioSignal(samples, rate)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"window_len": 1, "m": 1}, "window_len must be at least 2"),
+        ({"overlap": 1.0}, r"overlap must lie in \[0, 1\)"),
+        ({"overlap": -0.5}, r"overlap must lie in \[0, 1\)"),
+    ],
+    ids=["window_len", "overlap-1", "overlap-negative"],
+)
+def test_windowing_config_rejects_a_window_or_overlap_out_of_range(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        WindowingConfig(**kwargs)
+
+
 def test_windowing_config_rejects_fractional_hop():
     with pytest.raises(ValueError):
         WindowingConfig(window_len=6, overlap=0.35)  # 3.9-sample hop
@@ -669,8 +717,6 @@ def test_feature_matrix_rejects_negative_values():
         FeatureMatrix(
             values=np.array([[1.0, -0.5]]),
             start_times=np.array([0.0]),
-            window_len=4,
-            sample_rate=10,
             envelope=np.zeros((2, 1)),
         )
 
@@ -681,10 +727,18 @@ def test_feature_matrix_rejects_non_finite_values(bad):
         FeatureMatrix(
             values=np.array([[1.0, 0.5], [bad, 2.0]]),
             start_times=np.array([0.0, 0.4]),
-            window_len=4,
-            sample_rate=10,
             envelope=np.zeros((2, 1)),
         )
+
+
+@pytest.mark.parametrize(
+    "values, start_times, match",
+    [(np.ones(3), np.zeros(3), "2-D"), (np.ones((3, 2)), np.zeros(2), "one entry per window")],
+    ids=["1-D", "start_times"],
+)
+def test_feature_matrix_rejects_a_misshapen_matrix(values, start_times, match):
+    with pytest.raises(ValueError, match=match):
+        FeatureMatrix(values=values, start_times=start_times, envelope=np.zeros((2, 1)))
 
 
 def test_feature_matrix_checks_its_values_without_a_mask():
@@ -695,8 +749,6 @@ def test_feature_matrix_checks_its_values_without_a_mask():
         FeatureMatrix(
             values=values,
             start_times=np.arange(400.0),
-            window_len=6,
-            sample_rate=10,
             envelope=np.zeros((2, 1)),
         )
         peak = tracemalloc.get_traced_memory()[1]
@@ -709,8 +761,6 @@ def test_feature_matrix_may_hold_no_windows():
     features = FeatureMatrix(
         values=np.empty((0, 3)),
         start_times=np.empty(0),
-        window_len=6,
-        sample_rate=10,
         envelope=np.zeros((2, 1)),
     )
     assert features.values.shape == (0, 3)

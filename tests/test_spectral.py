@@ -332,6 +332,41 @@ def test_embedding_rejects_descending_values():
         SpectralEmbedding(eigenvalues=np.array([1.0, 0.5]), eigenvectors=np.eye(2))
 
 
+def test_embedding_needs_one_vector_per_value():
+    with pytest.raises(ValueError, match="one eigenvector column per eigenvalue"):
+        SpectralEmbedding(eigenvalues=np.array([0.0, 1.0]), eigenvectors=np.zeros((4, 3)))
+
+
+def _fail_dense(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _fail_lanczos(A, **kwargs):
+    raise scipy.sparse.linalg.ArpackError(-9999)
+
+
+def _wrong_pairs(a):
+    return np.arange(a.shape[0], dtype=float), np.eye(a.shape[0])
+
+
+@pytest.mark.parametrize(
+    "n, module, name, fake, match",
+    [
+        (8, np.linalg, "eigh", _fail_dense, "dense symmetric solver failed"),
+        (300, scipy.sparse.linalg, "eigsh", _fail_lanczos, "Lanczos solver failed"),
+        (8, np.linalg, "eigh", _wrong_pairs, "residual"),
+    ],
+    ids=["dense", "lanczos", "residual"],
+)
+def test_eigendecompose_reports_a_failed_solve_as_an_eigensolver_error(
+    monkeypatch, n, module, name, fake, match
+):
+    lap = laplacian(_graph_of(_random_connected_weights(np.random.default_rng(n), n)))
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(EigensolverError, match=match):
+        eigendecompose(lap, p=2)
+
+
 # ------------------------------------------------------------- estimate_k
 
 
@@ -530,6 +565,8 @@ def test_spectral_cluster_column_out_of_range():
     emb = _embed(_two_block_graph(sizes=(4, 4)), p=3)
     with pytest.raises(ValueError):
         spectral_cluster(emb, k=4)  # needs columns 1..3 of 0..2
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        spectral_cluster(emb, k=1)  # no column at all
 
 
 def test_partition_rejects_bad_labels():
@@ -537,3 +574,7 @@ def test_partition_rejects_bad_labels():
 
     with pytest.raises(ValueError):
         Partition(labels=np.array([0, 1, 3]), k=3)  # label outside [0, k)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Partition(labels=np.zeros((2, 2)), k=2)
+    with pytest.raises(ValueError, match="k must be positive"):
+        Partition(labels=np.zeros(3), k=0)

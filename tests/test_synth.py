@@ -163,6 +163,8 @@ def test_vehicle_spec_validation():
         VehicleSpec(name="x", fundamental_hz=30.0, harmonic_amps=(0.0, 0.0))
     with pytest.raises(ValueError):
         VehicleSpec(name="x", fundamental_hz=30.0, harmonic_amps=(1.0,), edge_level=1.5)
+    with pytest.raises(ValueError, match="broadband_level and amp_jitter must be nonnegative"):
+        VehicleSpec(name="x", fundamental_hz=30.0, harmonic_amps=(1.0,), broadband_level=-0.1)
 
 
 @pytest.mark.parametrize(
@@ -314,9 +316,10 @@ def test_clean_clips_have_identical_window_features():
 
 def test_default_bank_within_class_tighter_than_between():
     signal, spans = gen_vehicle_audio(default_vehicle_bank(), rng_seed=3)
-    fm = stft_features(signal, WindowingConfig())
+    cfg = WindowingConfig()
+    fm = stft_features(signal, cfg)
     D = distance_matrix(pairwise_cosine_distances(fm.values), fm.values.shape[0])
-    mid = fm.start_times + fm.window_len / (2 * fm.sample_rate)
+    mid = fm.start_times + cfg.window_len / (2 * signal.sample_rate)
     truth = np.array([[s.label for s in spans if s.start_s <= t < s.end_s][0] for t in mid])
     same = truth[:, None] == truth[None, :]
     off = ~np.eye(truth.size, dtype=bool)

@@ -78,6 +78,16 @@ def test_a_pin_that_finds_no_openblas_says_so(monkeypatch):
         assert not pinned
 
 
+def test_without_a_readable_maps_file_no_library_is_found_and_nothing_is_pinned(monkeypatch):
+    def unreadable(path):
+        raise PermissionError(f"cannot read {path}")
+
+    monkeypatch.setattr(threads.Path, "read_bytes", unreadable)
+    assert threads._openblas() == {}
+    with one_blas_thread() as pinned:
+        assert not pinned
+
+
 def test_a_pin_reads_the_maps_while_a_file_under_a_non_utf8_directory_is_mapped(tmp_path):
     folder = tmp_path / os.fsdecode(b"caf\xe9")  # Latin-1 bytes, not UTF-8
     folder.mkdir()

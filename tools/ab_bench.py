@@ -19,9 +19,10 @@ process, so this process never loads numpy and its own RSS never reaches
 a child's `ru_maxrss`.  --same runs OLD_SRC against a copy of itself: the
 A/A set that shows each metric's noise.
 
-For each metric the file holds both medians over the pairs, the quartiles
-of OLD_SRC's pairs, the pairs NEW_SRC won (ties count for neither side)
-and a verdict: "lower" or "higher" when the medians differ by more than
+For each end-to-end metric of BENCHMARK.json, with the unit and direction
+listed there, the file holds both medians over the pairs, the quartiles of
+OLD_SRC's pairs, the pairs NEW_SRC won (ties count for neither side) and a
+verdict: "lower" or "higher" when the medians differ by more than
 OLD_SRC's interquartile range, else "unresolved".  It also holds every
 invocation and each tree's numpy, scipy and BLAS thread counts, read in a
 child started as the timed ones are.  Pairs with a failed invocation, or
@@ -47,14 +48,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # a side's loop, as bench/run.py runs one; its imports would load numpy here
 MIN_INVOCATIONS = 3
 SETUP_PER_INVOCATION = 3
-# name: (unit, better); the end-to-end metrics of BENCHMARK.json
-METRICS = {
-    "run_s": ("s", "lower"),
-    "setup_s": ("s", "lower"),
-    "cpu_s": ("s", "lower"),
-    "peak_rss_mb": ("MB", "lower"),
-    "purity": ("ratio", "higher"),
-}
 # the versions and BLAS thread counts of a child that loads passby as the timed ones do
 TREE_PROBE = """
 import json, sys
@@ -156,7 +149,8 @@ def main() -> int:
     subprocess.run([sys.executable, "-c", PREPARE, *bench, opts.workload, str(opts.seed), str(opts.root)], check=True)
     inputs = prepare(workload, opts.seed, opts.root)  # cached by now: loads no passby here
 
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     about, side_inputs, first_outputs = {}, {}, {}
     for side, src in trees.items():
         env = {**os.environ, "PYTHONPATH": str(src)}
@@ -198,10 +192,11 @@ def main() -> int:
     clean = [p for p in range(opts.pairs) if not (by_pair[p, "old"]["problems"] or by_pair[p, "new"]["problems"])]
     metrics = {}
     if len(clean) >= 2:
-        for name, (unit, better) in METRICS.items():
+        for metric in benchmark["end_to_end"]:
+            name, better = metric["name"], metric["better"]
             old = [by_pair[p, "old"][name] for p in clean]
             new = [by_pair[p, "new"][name] for p in clean]
-            metrics[name] = {"unit": unit, "better": better, **compare(old, new, better)}
+            metrics[name] = {"unit": metric["unit"], "better": better, **compare(old, new, better)}
     failed = {side: sum(1 for s in sides if s["side"] == side and s["problems"]) for side in trees}
     record = {
         "label": opts.label,
