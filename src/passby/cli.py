@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             cfg = PipelineConfig.from_file(args.config, overrides)
         else:
-            cfg = PipelineConfig.from_dict(overrides)
+            cfg = PipelineConfig(**overrides)
         report = run_pipeline(cfg)
     except ConfigError as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)

@@ -143,14 +143,6 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**raw)
-
-    @classmethod
     def from_file(cls, path: str | Path, overrides: dict[str, Any] | None = None) -> "PipelineConfig":
         """JSON config file merged with overrides; overrides win."""
         try:
@@ -163,9 +155,11 @@ class PipelineConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-        merged = dict(raw)
-        merged.update(overrides or {})
-        return cls.from_dict(merged)
+        merged = {**raw, **(overrides or {})}
+        unknown = sorted(set(merged) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**merged)
 
     def windowing(self) -> WindowingConfig:
         return WindowingConfig(

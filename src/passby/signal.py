@@ -345,7 +345,8 @@ def assemble_composite(
     if not entries:
         raise ManifestError("manifest lists no clips")
     base = Path(base_dir) if base_dir is not None else Path(".")
-    if held is not None and len({base / e.path for e in entries}) > 1:
+    paths = [base / e.path for e in entries]  # an absolute e.path stays as it is
+    if held is not None and len(set(paths)) > 1:
         raise ValueError("held samples stand for one file, but the entries name more than one")
     # a file's crops are copies, so that its samples are freed; held ones are views
     keep = np.copy if held is None else np.asarray
@@ -355,10 +356,7 @@ def assemble_composite(
     raw: np.ndarray | None = None
     raw_path: Path | None = None
     offset = 0
-    for e in entries:
-        clip_path = Path(e.path)
-        if not clip_path.is_absolute():
-            clip_path = base / clip_path
+    for e, clip_path in zip(entries, paths):
         if clip_path != raw_path:
             raw = None  # let the last file go before the next one is read
             if held is None:

@@ -82,6 +82,17 @@ def test_pairwise_matches_scalar_routine():
     assert D.min() >= 0.0 and D.max() <= 2.0
 
 
+def test_pairwise_distances_are_clipped_to_zero_and_two():
+    # the unit rows of [1, 1, 1] have a product of 1.0000000000000002, and
+    # against their opposite one of -1.0000000000000002: unclipped, the
+    # distances would be -2.2e-16 and 2.0000000000000004
+    X = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [1.0, 2.0, 3.0]])
+    D = distance_matrix(pairwise_cosine_distances(X), 4)
+    assert D[0, 1] == 0.0
+    assert D[0, 2] == D[1, 2] == 2.0
+    assert D.min() >= 0.0 and D.max() <= 2.0
+
+
 def test_pairwise_zero_row_rejected():
     X = np.ones((4, 3))
     X[2] = 0.0

@@ -433,8 +433,8 @@ def test_config_from_file_errors(tmp_path):
         PipelineConfig.from_file(array)
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"window_size": 6000}))
-    with pytest.raises(ConfigError, match="window_size"):
-        PipelineConfig.from_file(unknown)
+    with pytest.raises(ConfigError, match="^unknown config keys: size, window_size$"):
+        PipelineConfig.from_file(unknown, {"size": 1})  # the file's keys and the overrides', sorted
     latin = tmp_path / "latin.json"
     latin.write_bytes(b'{"method": "spectral"}\xff')
     with pytest.raises(ConfigError, match="cannot read config"):
@@ -922,9 +922,42 @@ def test_cli_k_above_twenty_clusters(tmp_path, capsys):
     assert max(report["methods"]["spectral"]["labels"]) == 24
 
 
-def test_cli_flags_are_config_fields():
+def test_cli_flags_are_config_fields(monkeypatch):
+    # main builds the config from the flags' dests as they are, so each field
+    # needs exactly one flag, and each flag must parse into its field's type
     dests = set(vars(build_parser().parse_args([]))) - {"config"}
-    assert dests <= {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert dests == {f.name for f in dataclasses.fields(PipelineConfig)}
+    given = {  # flag: (field, a value other than the default)
+        "--manifest": ("manifest", "clips.csv"),
+        "--out": ("out_dir", "elsewhere"),
+        "--window-len": ("window_len", 4000),
+        "--overlap": ("overlap", 0.5),
+        "--taper": ("taper", "hamming"),
+        "--smoothing": ("smoothing_len", 5),
+        "--m": ("m", 700),
+        "--knn": ("neighbors", 9),
+        "--k": ("k", 4),
+        "--k-max": ("k_max", 6),
+        "--method": ("method", "incres"),
+        "--iterations": ("iterations", 30),
+        "--seed-rate": ("seed_rate", 0.25),
+        "--restarts": ("restarts", 3),
+        "--seed": ("seed", 7),
+    }
+    assert {name for name, _ in given.values()} == dests
+    seen = []
+
+    def run(cfg):
+        seen.append(cfg)
+        return {"k": {"used": 4, "requested": 4, "estimated": None}, "n_windows": 0, "n_coefficients": 0, "methods": {}}
+
+    monkeypatch.setattr(cli, "run_pipeline", run)
+    assert main([str(a) for flag, (_, value) in given.items() for a in (flag, value)]) == 0
+    (cfg,) = seen
+    default = PipelineConfig()
+    for name, value in given.values():
+        assert getattr(default, name) != value, name
+        assert getattr(cfg, name) == value and type(getattr(cfg, name)) is type(value), name
 
 
 def test_cli_missing_manifest_returns_config_code(tmp_path, capsys):
@@ -1063,6 +1096,10 @@ def test_cli_config_file_flow(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--config", str(latin), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "cannot read config" in capsys.readouterr().err
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"window_size": 6000}))
+    assert main(["--config", str(unknown), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "error: bad configuration: unknown config keys: window_size\n" == capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ plots

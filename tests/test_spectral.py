@@ -25,6 +25,7 @@ from passby.spectral import (
     kmeans,
     spectral_cluster,
     _lloyd,
+    _repair_empty,
 )
 
 
@@ -494,6 +495,19 @@ def test_kmeans_no_empty_clusters():
         res = kmeans(pts, k=k, cfg=KmeansConfig(seed=trial))
         assert res.partition.k == k
         assert np.all(res.partition.sizes() > 0)
+
+
+def test_empty_cluster_repair_never_takes_a_singleton():
+    # points 0, 0.1 and 10 against centroids 0, 0 and 5: cluster 1 is empty, and
+    # the farthest point from its centroid, 10, is cluster 2's only member
+    points, centroids = np.array([0.0, 0.1, 10.0]), np.array([0.0, 0.0, 5.0])
+    d2 = (points[:, None] - centroids[None, :]) ** 2
+    labels = np.argmin(d2, axis=1)
+    assert labels.tolist() == [0, 0, 2]
+    repaired = _repair_empty(labels, d2)
+    assert repaired.tolist() == [0, 1, 2]  # 0.1, the farthest of cluster 0's two, moves
+    assert np.all(np.bincount(repaired, minlength=3) > 0)
+    assert labels.tolist() == [0, 0, 2]  # the caller's labels stay as they were
 
 
 def test_kmeans_on_identical_points():

@@ -69,9 +69,7 @@ def test_same_outputs_passes_what_follows_the_separator_to_passby(same_outputs):
 def test_ab_bench_defaults_to_seed_1_and_the_workload_as_label(ab_bench):
     opts = ab_bench.parse(["old", "new", "--workload", "cli-default", "--pairs", "10"], WORKLOADS)
     assert (opts.old, opts.new, opts.workload, opts.pairs) == (Path("old"), Path("new"), "cli-default", 10)
-    assert (opts.seed, opts.label, opts.same) == (1, "cli-default", False)
-    opts = ab_bench.parse(["old", "--same", "--workload", "reseed-480", "--pairs", "4", "--seed", "7"], WORKLOADS)
-    assert (opts.new, opts.seed, opts.label) == (None, 7, "reseed-480-same")
+    assert (opts.seed, opts.label) == (1, "cli-default")
     opts = ab_bench.parse(["old", "new", "--workload", "spectral-2880", "--pairs", "2", "--label", "x.1"], WORKLOADS)
     assert opts.label == "x.1"
 
@@ -79,8 +77,8 @@ def test_ab_bench_defaults_to_seed_1_and_the_workload_as_label(ab_bench):
 @pytest.mark.parametrize(
     "flags",
     [
-        "old --workload cli-default --pairs 10",  # no NEW_SRC and no --same
-        "old new --same --workload cli-default --pairs 10",
+        "old --workload cli-default --pairs 10",  # no NEW_SRC
+        "old new --same --workload cli-default --pairs 10",  # no such flag
         "old new --workload cli-default --pairs 1",
         "old new --workload nowhere --pairs 10",
         "old new --pairs 10",

@@ -1,7 +1,6 @@
 """Paired runs of two passby source trees on one benchmark workload, written to BENCH_<label>.json.
 
     python3 tools/ab_bench.py OLD_SRC NEW_SRC --workload W --pairs N [--seed S] [--label L]
-    python3 tools/ab_bench.py OLD_SRC --same --workload W --pairs N [--seed S] [--label L]
 
 Each pair times both trees on the same inputs, one side after the other:
 the first half of the pairs run OLD_SRC first (ABAB...), the rest NEW_SRC
@@ -16,8 +15,8 @@ Each loop checks that its invocations write the same labels.csv and
 report.json minus timings, and each side's later loops must write what
 its first did.  W's inputs are generated once, with OLD_SRC, in a child
 process, so this process never loads numpy and its own RSS never reaches
-a child's `ru_maxrss`.  --same runs OLD_SRC against a copy of itself: the
-A/A set that shows each metric's noise.
+a child's `ru_maxrss`.  OLD_SRC given twice is the A/A set that shows each
+metric's noise.
 
 For each end-to-end metric of BENCHMARK.json, with the unit and direction
 listed there, the file holds both medians over the pairs, the quartiles of
@@ -38,7 +37,6 @@ import json
 import os
 import platform
 import re
-import shutil
 import statistics
 import subprocess
 import sys
@@ -70,19 +68,16 @@ prepare(WORKLOADS[sys.argv[3]], int(sys.argv[4]), Path(sys.argv[5]))
 def parse(argv: list[str], workloads: list[str]) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", type=Path)
-    p.add_argument("new", type=Path, nargs="?")
+    p.add_argument("new", type=Path)
     p.add_argument("--workload", required=True, choices=workloads)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--label", help="BENCH_<label>.json; default: the workload, with -same under --same")
-    p.add_argument("--same", action="store_true", help="run OLD_SRC against a copy of itself")
+    p.add_argument("--label", help="BENCH_<label>.json; default: the workload")
     p.add_argument("--root", type=Path, default=ROOT / ".bench_out" / "ab_bench")
     opts = p.parse_args(argv)
-    if (opts.new is None) != opts.same:
-        p.error("give NEW_SRC, or --same without it")
     if opts.pairs < 2:
         p.error("--pairs must be at least 2, so the quartiles exist")
-    opts.label = opts.label or opts.workload + ("-same" if opts.same else "")
+    opts.label = opts.label or opts.workload
     if not re.fullmatch(r"[\w.-]+", opts.label):
         p.error(f"--label may hold letters, digits, '.', '_' and '-' only, got {opts.label!r}")
     return opts
@@ -138,13 +133,7 @@ def main() -> int:
 
     opts = parse(sys.argv[1:], list(WORKLOADS))
     workload = WORKLOADS[opts.workload]
-    trees = {"old": opts.old.resolve()}
-    if opts.same:
-        trees["new"] = opts.root / "same" / "src"
-        shutil.rmtree(trees["new"], ignore_errors=True)
-        shutil.copytree(trees["old"], trees["new"], ignore=shutil.ignore_patterns("__pycache__"))
-    else:
-        trees["new"] = opts.new.resolve()
+    trees = {"old": opts.old.resolve(), "new": opts.new.resolve()}
     bench = [str(ROOT / "bench"), str(trees["old"])]
     subprocess.run([sys.executable, "-c", PREPARE, *bench, opts.workload, str(opts.seed), str(opts.root)], check=True)
     inputs = prepare(workload, opts.seed, opts.root)  # cached by now: loads no passby here
@@ -204,7 +193,6 @@ def main() -> int:
         "seed": opts.seed,
         "pairs": opts.pairs,
         "run_seconds": seconds,
-        "same": opts.same,
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
