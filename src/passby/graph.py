@@ -217,6 +217,9 @@ def knn_graph_from_distances(
     tile = d = None  # the last tile goes before the graph is built
     if np.any(covered != n):
         raise ValueError(f"the tiles must cover the upper triangle of an {n} x {n} matrix once")
+    short = np.flatnonzero(near_c[:, -1] == _NO_COLUMN)  # NaN compares with no distance
+    if short.size:
+        raise ValueError(f"rows {short.tolist()} have fewer than {neighbors} comparable distances")
     scales = near_d[:, -1].copy()
     # distances below the floor are rounding noise from coincident points,
     # not usable scales

@@ -213,18 +213,16 @@ def _repair_empty(labels: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _lloyd(
-    X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, tol: float
-) -> tuple[np.ndarray, float]:
+def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Lloyd iterations from k-means++ seeds: the final labels and their WCSS."""
     centroids = _plus_plus_seeds(X, k, rng)
     prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = _repair_empty(np.argmin(d2, axis=1), d2)
         centroids = np.stack([X[labels == c].mean(axis=0) for c in range(k)])
         wcss = float(((X - centroids[labels]) ** 2).sum())
-        if np.isfinite(prev) and (prev == 0.0 or (prev - wcss) / prev < tol):
+        if np.isfinite(prev) and (prev == 0.0 or (prev - wcss) / prev < KMEANS_TOL):
             break
         prev = wcss
     return labels, wcss
@@ -244,7 +242,7 @@ def kmeans(points: npt.ArrayLike, k: int, cfg: KmeansConfig = KmeansConfig()) ->
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     best: tuple[float, int, np.ndarray] | None = None
     for r, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)):
-        labels, wcss = _lloyd(X, k, np.random.default_rng(stream), KMEANS_MAX_ITER, KMEANS_TOL)
+        labels, wcss = _lloyd(X, k, np.random.default_rng(stream))
         if best is None or wcss < best[0]:
             best = (wcss, r, labels)
     assert best is not None

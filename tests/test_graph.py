@@ -465,6 +465,18 @@ def test_knn_tiles_must_cover_the_upper_triangle_once():
         knn_graph_from_distances(tiles, 6, neighbors=6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_knn_names_the_rows_without_enough_comparable_distances(bad):
+    X = np.random.default_rng(0).normal(size=(10, 4))
+    X[3, 1] = bad  # row 3's distances are all NaN
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"rows \[3\] have fewer than 3"):
+        knn_graph(X, neighbors=3)
+    d = np.abs(np.subtract.outer(np.arange(10.0), np.arange(10.0)))
+    d[5, :] = np.nan  # row 5 compares with nothing; the other rows keep 9 distances
+    with pytest.raises(ValueError, match=r"rows \[5\] have fewer than 3"):
+        knn_graph_from_distances([(0, 0, d)], 10, neighbors=3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_knn_graph_csr_is_symmetric_loopless_and_covers_every_vertex(data):

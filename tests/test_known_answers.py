@@ -1,11 +1,11 @@
 """Known answers: the SHA-256 of every file a run writes, against tests/known_answers.json.
 
 A change that moves an output byte fails here, naming the run and the file.
-The runs are the demo (cli-default) at seeds 0-40, the benchmark's
-manifest workloads at seed 1 on inputs from bench/workloads.py, and the
-option path (overlap, the Hamming taper, smoothing, incres alone) on the
-demo at seeds 0-2.  report.json is hashed without `timings` and the two
-paths in `parameters`, which name temporary directories.
+The runs are RUNS of tools/same_outputs.py, on inputs from
+bench/workloads.py; `tools/same_outputs.py OLD_SRC NEW_SRC RUN` shows
+which numbers of a failing run moved.  report.json is hashed without
+`timings` and the two paths in `parameters`, which name temporary
+directories.
 
 The digests hold in the environment recorded with them: the numpy and scipy
 versions, each loaded OpenBLAS's build and core, and numpy's detected CPU
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.util
 import json
 import sys
 import tempfile
@@ -35,14 +36,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))  # the benchmark's workloads, as tools/same_outputs.py reads them
 import workloads  # noqa: E402
 
+_spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
 KNOWN = Path(__file__).with_name("known_answers.json")
-OPTIONS = ["--overlap", "0.5", "--taper", "hamming", "--smoothing", "5", "--method", "incres"]
-RUNS = {  # run: (workload, seed, extra flags)
-    **{f"cli-default-seed{s}": ("cli-default", s, []) for s in range(41)},
-    "reseed-480-seed1": ("reseed-480", 1, []),
-    "spectral-2880-seed1": ("spectral-2880", 1, []),
-    **{f"options-cli-default-seed{s}": ("cli-default", s, OPTIONS) for s in range(3)},
-}
 # the version string of an OpenBLAS build, by the symbol names threads._SYMBOLS lists
 _CONFIG_SYMBOLS = [get.replace("num_threads", "config") for get, _ in threads._SYMBOLS]
 
@@ -69,7 +66,7 @@ def environment() -> dict:
 
 def digests(run: str) -> dict[str, str]:
     """The SHA-256 of each file the run writes, by its path under the output directory."""
-    name, seed, flags = RUNS[run]
+    name, seed, flags = same_outputs.RUNS[run]
     workload = workloads.WORKLOADS[name]
     with tempfile.TemporaryDirectory() as tmp:
         inputs, out = Path(tmp) / "inputs", Path(tmp) / "out"
@@ -96,7 +93,7 @@ def known() -> dict[str, dict[str, str]]:
     return recorded["runs"]
 
 
-@pytest.mark.parametrize("run", RUNS)
+@pytest.mark.parametrize("run", same_outputs.RUNS)
 def test_run_writes_its_known_answer(known, run):
     expected, got = known[run], digests(run)
     moved = sorted(f for f in expected.keys() | got.keys() if expected.get(f) != got.get(f))
@@ -104,6 +101,6 @@ def test_run_writes_its_known_answer(known, run):
 
 
 if __name__ == "__main__":
-    known = {"environment": environment(), "runs": {run: digests(run) for run in RUNS}}
+    known = {"environment": environment(), "runs": {run: digests(run) for run in same_outputs.RUNS}}
     KNOWN.write_text(json.dumps(known, indent=2) + "\n")
-    print(f"wrote {KNOWN.relative_to(ROOT)}: {len(RUNS)} runs")
+    print(f"wrote {KNOWN.relative_to(ROOT)}: {len(same_outputs.RUNS)} runs")

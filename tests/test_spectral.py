@@ -16,7 +16,6 @@ from scipy import sparse
 from _helpers import as_sets, caller_blas_threads
 from passby.graph import SimilarityGraph, knn_graph, laplacian
 from passby.spectral import (
-    KMEANS_TOL,
     EigensolverError,
     KmeansConfig,
     SpectralEmbedding,
@@ -24,7 +23,6 @@ from passby.spectral import (
     estimate_k,
     kmeans,
     spectral_cluster,
-    _lloyd,
     _repair_empty,
 )
 
@@ -459,7 +457,7 @@ def test_kmeans_matches_exhaustive_oracle():
     assert hits >= 38  # 20 restarts make misses rare
 
 
-def test_kmeans_wcss_history_non_increasing():
+def test_kmeans_wcss_history_non_increasing(monkeypatch):
     # one restart capped at t iterations stops at the WCSS of iteration t of
     # the uncapped run, or at its final WCSS once that run has converged
     rng = np.random.default_rng(6)
@@ -467,8 +465,8 @@ def test_kmeans_wcss_history_non_increasing():
     res = kmeans(pts, k=4, cfg=KmeansConfig(restarts=1, seed=3))
 
     def capped(t):  # kmeans's one restart, with Lloyd cut at t iterations
-        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
-        return _lloyd(pts, 4, rng, t, KMEANS_TOL)[1]
+        monkeypatch.setattr("passby.spectral.KMEANS_MAX_ITER", t)
+        return kmeans(pts, k=4, cfg=KmeansConfig(restarts=1, seed=3)).wcss
 
     hist = np.array([capped(t) for t in range(1, 21)])
     assert np.all(np.diff(hist) <= 1e-12)

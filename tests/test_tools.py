@@ -32,38 +32,25 @@ def ab_bench():
     return _load("ab_bench")
 
 
-def _pairs(module, flags=""):
-    return module.parse(["old", "new", *flags.split()], WORKLOADS)[1]
-
-
-def test_same_outputs_runs_every_workload_at_seed_1_by_default(same_outputs):
-    assert _pairs(same_outputs) == [(name, [1]) for name in WORKLOADS]
-
-
-def test_same_outputs_gives_each_seed_to_the_workload_before_it(same_outputs):
-    pairs = _pairs(same_outputs, "--workload cli-default --seed 0-2 --workload spectral-2880 --seed 1")
-    assert pairs == [("cli-default", [0, 1, 2]), ("spectral-2880", [1])]
-
-
-def test_same_outputs_gives_leading_seeds_to_every_workload(same_outputs):
-    pairs = _pairs(same_outputs, "--seed 1 --seed 7 --workload reseed-480 --workload spectral-2880")
-    assert pairs == [("reseed-480", [1, 7]), ("spectral-2880", [1, 7])]
-    assert _pairs(same_outputs, "--seed 0-40") == [(name, list(range(41))) for name in WORKLOADS]
-    assert _pairs(same_outputs, "--seed 3 --workload cli-default --seed 5") == [("cli-default", [3, 5])]
-
-
-def test_same_outputs_runs_seed_1_for_a_workload_without_seeds(same_outputs):
-    pairs = _pairs(same_outputs, "--workload reseed-480 --workload cli-default --seed 4")
-    assert pairs == [("reseed-480", [1]), ("cli-default", [4])]
-
-
-def test_same_outputs_passes_what_follows_the_separator_to_passby(same_outputs):
-    opts, pairs, extra = same_outputs.parse(
-        ["old", "new", "--workload", "cli-default", "--", "--overlap", "0.5", "--seed", "9"], WORKLOADS
+def test_same_outputs_selects_runs_by_name_or_pattern_in_the_order_of_its_table(same_outputs):
+    opts, runs, extra = same_outputs.parse(["old", "new"])
+    assert (opts.old, opts.new, runs, extra) == (Path("old"), Path("new"), list(same_outputs.RUNS), [])
+    assert len(runs) == 50 and same_outputs.RUNS["spectral-2880-seed31"] == ("spectral-2880", 31, [])
+    _, runs, extra = same_outputs.parse(
+        ["old", "new", "spectral-2880-*", "cli-default-seed[0-1]", "--", "--overlap", "0.5", "--seed", "9"]
     )
-    assert (opts.old, opts.new) == (Path("old"), Path("new"))
-    assert pairs == [("cli-default", [1])]
+    assert runs == ["cli-default-seed0", "cli-default-seed1", *(f"spectral-2880-seed{s}" for s in (1, 7, 31))]
     assert extra == ["--overlap", "0.5", "--seed", "9"]
+
+
+@pytest.mark.parametrize("pattern", ["nowhere", "cli-default-seed41", "reseed-480-seed2"])
+def test_same_outputs_rejects_a_run_that_matches_nothing_before_any_run(same_outputs, pattern, capsys):
+    with pytest.raises(SystemExit) as exit:
+        same_outputs.parse(["old", "new", "cli-default-seed0", pattern])
+    assert exit.value.code == 2
+    assert f"no run matches {pattern!r}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # the runs are named; there is no workload-and-seed grammar
+        same_outputs.parse(["old", "new", "--workload", "cli-default", "--seed", "1"])
 
 
 def test_ab_bench_defaults_to_seed_1_and_the_workload_as_label(ab_bench):
@@ -124,15 +111,14 @@ def test_ab_bench_side_takes_medians_of_its_passing_invocations_and_its_lowest_p
 
 
 def _same_outputs(old, new, root):
-    command = [sys.executable, str(ROOT / "tools" / "same_outputs.py"), str(old), str(new)]
-    flags = ["--workload", "cli-default", "--seed", "0", "--root", str(root)]
-    return subprocess.run(command + flags, capture_output=True, text=True, timeout=300)
+    command = [sys.executable, str(ROOT / "tools" / "same_outputs.py"), str(old), str(new), "cli-default-seed0"]
+    return subprocess.run(command + ["--root", str(root)], capture_output=True, text=True, timeout=300)
 
 
 def test_same_outputs_tells_a_tree_from_itself_and_from_a_changed_copy(tmp_path):
     src = ROOT / "src"
     run = _same_outputs(src, src, tmp_path / "root")
-    assert (run.returncode, run.stdout) == (0, "cli-default seed 0: same\n"), run.stderr
+    assert (run.returncode, run.stdout) == (0, "cli-default-seed0: same\n"), run.stderr
     changed = tmp_path / "changed"
     shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     plots = changed / "passby" / "plots.py"
@@ -141,5 +127,5 @@ def test_same_outputs_tells_a_tree_from_itself_and_from_a_changed_copy(tmp_path)
     plots.write_text(text.replace('PALETTE = (\n    "#4477aa",', 'PALETTE = (\n    "#4477ab",'))
     run = _same_outputs(src, changed, tmp_path / "root")
     assert run.returncode == 1, run.stderr
-    assert run.stdout.startswith("cli-default seed 0: DIFFERENT: ")
+    assert run.stdout.startswith("cli-default-seed0: DIFFERENT: ")
     assert "plots/clusters.svg" in run.stdout

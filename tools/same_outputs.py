@@ -1,19 +1,17 @@
 """Check that two passby source trees write the same outputs.
 
-    python3 tools/same_outputs.py OLD_SRC NEW_SRC [--workload W] [--seed N|A-B] [-- FLAGS]
+    python3 tools/same_outputs.py OLD_SRC NEW_SRC [RUN ...] [-- FLAGS]
 
---workload and --seed repeat, and --seed takes an inclusive range such as
-0-40.  Each --seed belongs to the --workload before it; seeds given before
-any --workload belong to every workload.  With no --workload every
-workload runs, and a workload left without seeds runs seed 1.  FLAGS go to
-every passby command.
-Inputs come from bench/workloads.py::prepare, cached under --root and
-generated with OLD_SRC.  Every artifact of the two runs must be
-byte-identical, and so must report.json without `timings` and
-`parameters.out_dir`, the exit code and the console output (out directory
-masked).  Prints each difference and exits 1 if there is any; a CSV or
-JSON file that differs only in its numbers also gets the largest relative
-difference between them.
+Each RUN names a run of RUNS, the runs a change must not move, or is a
+shell-style pattern such as 'spectral-2880-*'; runs go in the order of
+RUNS, and with no RUN every run goes.  FLAGS go to every passby command.
+Inputs come from bench/workloads.py::prepare, cached under --root, so both
+trees always read the same inputs, generated once for each (workload,
+seed).  Every artifact of the two runs must be byte-identical, and so must
+report.json without `timings` and `parameters.out_dir`, the exit code and
+the console output (out directory masked).  Prints each difference and
+exits 1 if there is any; a CSV or JSON file that differs only in its
+numbers also gets the largest relative difference between them.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import fnmatch
 import json
 import os
 import shutil
@@ -29,6 +28,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+OPTIONS = ["--overlap", "0.5", "--taper", "hamming", "--smoothing", "5", "--method", "incres"]
+RUNS = {  # run: (workload, seed, flags); tests/test_known_answers.py hashes each
+    **{f"cli-default-seed{s}": ("cli-default", s, []) for s in range(41)},
+    # seed 31 draws the recording of lowest spectral purity
+    **{f"{w}-seed{s}": (w, s, []) for w in ("reseed-480", "spectral-2880") for s in (1, 7, 31)},
+    # overlap, the Hamming taper, smoothing and incres alone
+    **{f"options-cli-default-seed{s}": ("cli-default", s, OPTIONS) for s in range(3)},
+}
 
 
 def _run(src: Path, args: list[str], out: Path) -> tuple[int, str]:
@@ -98,67 +105,50 @@ def _largest_relative_difference(a: Path, b: Path) -> float | None:
     return worst
 
 
-def _seeds(text: str) -> list[int]:
-    """One seed, or the inclusive range A-B."""
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
-
-
-def parse(
-    argv: list[str], workloads: list[str]
-) -> tuple[argparse.Namespace, list[tuple[str, list[int]]], list[str]]:
-    """The options, the (workload, seeds) pairs to run in order, and the FLAGS after `--`."""
+def parse(argv: list[str]) -> tuple[argparse.Namespace, list[str], list[str]]:
+    """The options, the runs to make in the order of RUNS, and the FLAGS after `--`."""
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
-    # one list in command-line order, so each seed can find its workload
-    p.add_argument("--workload", dest="steps", action="append", type=lambda w: (w, None))
-    p.add_argument("--seed", dest="steps", action="append", type=lambda s: (None, _seeds(s)))
+    p.add_argument("patterns", nargs="*", metavar="RUN")
     p.add_argument("--root", type=Path, default=ROOT / ".bench_out" / "same_outputs")
     extra = []
     if "--" in argv:
         argv, extra = argv[: argv.index("--")], argv[argv.index("--") + 1 :]
     opts = p.parse_args(argv)
-    common: list[int] = []
-    pairs: list[tuple[str, list[int]]] = []
-    for workload, seeds in opts.steps or []:
-        if workload is not None:
-            pairs.append((workload, []))
-        elif pairs:
-            pairs[-1][1].extend(seeds)
-        else:
-            common.extend(seeds)
-    pairs = pairs or [(name, []) for name in workloads]
-    return opts, [(name, common + seeds or [1]) for name, seeds in pairs], extra
+    for pattern in opts.patterns:
+        if not fnmatch.filter(RUNS, pattern):
+            p.error(f"no run matches {pattern!r}")
+    patterns = opts.patterns or ["*"]
+    return opts, [run for run in RUNS if any(fnmatch.fnmatchcase(run, pat) for pat in patterns)], extra
 
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import WORKLOADS, command, prepare
 
-    opts, pairs, extra = parse(sys.argv[1:], list(WORKLOADS))
-    sys.path.insert(0, str(opts.old.resolve()))  # inputs are generated with OLD_SRC
+    opts, runs, extra = parse(sys.argv[1:])
+    sys.path.insert(0, str(opts.old.resolve()))  # prepare generates missing inputs with OLD_SRC
     differences = 0
-    for name, seeds in pairs:
-        for seed in seeds:
-            inputs = prepare(WORKLOADS[name], seed, opts.root)
-            runs = []
-            for side, src in (("old", opts.old), ("new", opts.new)):
-                out = inputs.out_dir / side
-                args = command(WORKLOADS[name], dataclasses.replace(inputs, out_dir=out), seed)
-                runs.append((out, _run(src.resolve(), args + extra, out)))
-            (old_out, old_run), (new_out, new_run) = runs
-            found = [] if old_run == new_run else ["exit code or console output"]
-            files = {q.relative_to(o) for o in (old_out, new_out) for q in o.rglob("*") if q.is_file()}
-            for rel in sorted(files):
-                a, b = old_out / rel, new_out / rel
-                if not (a.is_file() and b.is_file() and _comparable(a) == _comparable(b)):
-                    worst = _largest_relative_difference(a, b) if a.is_file() and b.is_file() else None
-                    found.append(str(rel) if worst is None else f"{rel} (largest relative difference {worst:.2g})")
-            print(f"{name} seed {seed}: {'same' if not found else 'DIFFERENT: ' + ', '.join(found)}")
-            differences += len(found)
+    for run in runs:
+        name, seed, flags = RUNS[run]
+        inputs = prepare(WORKLOADS[name], seed, opts.root)
+        outs = []
+        for side, src in (("old", opts.old), ("new", opts.new)):
+            out = inputs.out_dir / side
+            args = command(WORKLOADS[name], dataclasses.replace(inputs, out_dir=out), seed)
+            outs.append((out, _run(src.resolve(), args + flags + extra, out)))
+        (old_out, old_run), (new_out, new_run) = outs
+        found = [] if old_run == new_run else ["exit code or console output"]
+        files = {q.relative_to(o) for o in (old_out, new_out) for q in o.rglob("*") if q.is_file()}
+        for rel in sorted(files):
+            a, b = old_out / rel, new_out / rel
+            if not (a.is_file() and b.is_file() and _comparable(a) == _comparable(b)):
+                worst = _largest_relative_difference(a, b) if a.is_file() and b.is_file() else None
+                found.append(str(rel) if worst is None else f"{rel} (largest relative difference {worst:.2g})")
+        print(f"{run}: {'same' if not found else 'DIFFERENT: ' + ', '.join(found)}")
+        differences += len(found)
     return 1 if differences else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
